@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import math
 import random
-import sys
 
 from .graph import Graph
 
@@ -23,16 +22,14 @@ def coprime_graph(n: int) -> Graph:
             if math.gcd(i, j) == 1:
                 adj[i - 1] |= 1 << (j - 1)
                 adj[j - 1] |= 1 << (i - 1)
-    g = Graph(n)
-    g.adj[:] = adj
-    return g
+    return Graph._from_masks(n, adj)
 
 
 def random_partition(n: int, rng: random.Random) -> list[int]:
     """Random composition of n: repeatedly draw a uniform part in
     [1, remaining]. For n >= 2 the single-part outcome [n] is rejected and
     redrawn, so the result always has >= 2 parts (otherwise the cograph
-    recursion below could never terminate). The draw list is returned
+    construction below could never terminate). The draw list is returned
     reversed."""
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -51,46 +48,37 @@ def random_partition(n: int, rng: random.Random) -> list[int]:
     return parts
 
 
-def _build_cograph(n: int, rng: random.Random) -> list[int]:
-    """Recursive build returning local adjacency masks. Drawing order per
-    node: partition first, then the union/join coin, then children
-    left-to-right."""
-    if n == 1:
-        return [0]
-    parts = random_partition(n, rng)
-    join = rng.randint(0, 1) == 1
-    blocks = [_build_cograph(p, rng) for p in parts]
-    adj = [0] * n
-    offset = 0
-    for block in blocks:
-        for i, mask in enumerate(block):
-            adj[offset + i] = mask << offset
-        offset += len(block)
-    if join:
-        full = (1 << n) - 1
-        offset = 0
-        for block in blocks:
-            block_mask = ((1 << len(block)) - 1) << offset
-            others = full & ~block_mask
-            for i in range(len(block)):
-                adj[offset + i] |= others
-            offset += len(block)
-    return adj
-
-
 def random_cograph(n: int, seed: int) -> Graph:
     """Random cograph on n vertices, unit weights: recursively partition,
     then take the disjoint union (coin 0) or the join (coin 1) of the parts.
-    By construction its decomposition tree has no prime node."""
+    By construction its decomposition tree has no prime node.
+
+    Each part is a contiguous block of vertex ids. Blocks are expanded in
+    pre-order from an explicit stack, so the draws per block come in the
+    order of the recursive definition: partition first, then the
+    union/join coin, then the parts left to right."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    if sys.getrecursionlimit() < 2 * n + 1000:
-        sys.setrecursionlimit(2 * n + 1000)
     rng = random.Random(seed)
-    adj = _build_cograph(n, rng)
-    g = Graph(n)
-    g.adj[:] = adj
-    return g
+    adj = [0] * n
+    stack = [(0, n)]
+    while stack:
+        lo, size = stack.pop()
+        if size == 1:
+            continue
+        blocks = []
+        start = lo
+        for part in random_partition(size, rng):
+            blocks.append((start, part))
+            start += part
+        if rng.randint(0, 1) == 1:
+            span = ((1 << size) - 1) << lo
+            for start, part in blocks:
+                others = span & ~(((1 << part) - 1) << start)
+                for v in range(start, start + part):
+                    adj[v] |= others
+        stack.extend(reversed(blocks))
+    return Graph._from_masks(n, adj)
 
 
 def gnp(n: int, p: float, seed: int) -> Graph:
@@ -106,6 +94,4 @@ def gnp(n: int, p: float, seed: int) -> Graph:
             if rng.random() < p:
                 adj[i] |= 1 << j
                 adj[j] |= 1 << i
-    g = Graph(n)
-    g.adj[:] = adj
-    return g
+    return Graph._from_masks(n, adj)

@@ -108,8 +108,9 @@ class Graph:
         weights: list[int] | None = None,
         labels: list[str] | None = None,
     ) -> "Graph":
-        """Build from prevalidated bitmask adjacency (checked for symmetry
-        and irreflexivity)."""
+        """Build from bitmask adjacency, checked for range, symmetry and
+        irreflexivity. The masks are copied."""
+        adj = list(adj)
         if len(adj) != n:
             raise ValueError("need one adjacency mask per vertex")
         full = (1 << n) - 1
@@ -118,12 +119,28 @@ class Graph:
                 raise ValueError(f"adjacency of vertex {v} out of range")
             if mask >> v & 1:
                 raise ValueError(f"self-loop at vertex {v}")
-        for v, mask in enumerate(adj):
-            for u in iter_bits(mask):
-                if not adj[u] >> v & 1:
-                    raise ValueError(f"asymmetric adjacency between {u} and {v}")
+        # symmetry: the bit matrix equals its transpose; row v as a string
+        # holds bit u of adj[v] at index u
+        rows = [format(mask, f"0{n}b")[::-1] for mask in adj]
+        for u, column in enumerate(map("".join, zip(*rows))):
+            if column != rows[u]:
+                v = next(v for v in range(n) if column[v] != rows[u][v])
+                raise ValueError(f"asymmetric adjacency between {u} and {v}")
+        return cls._from_masks(n, adj, weights, labels)
+
+    @classmethod
+    def _from_masks(
+        cls,
+        n: int,
+        adj: list[int],
+        weights: list[int] | None = None,
+        labels: list[str] | None = None,
+    ) -> "Graph":
+        """Trusted constructor: takes ownership of `adj`, which must already
+        be symmetric, loop-free and within range. Weights and labels are
+        checked as in the main constructor."""
         g = cls(n, (), weights, labels)
-        g.adj[:] = adj
+        g.adj = adj
         return g
 
     @property
@@ -204,13 +221,12 @@ def induced_subgraph(g: Graph, s: Iterable[int]) -> tuple[Graph, dict[int, int]]
     for new, old in enumerate(old_ids):
         for u in iter_bits(g.adj[old] & mask):
             adj[new] |= 1 << remap[u]
-    sub = Graph(
+    sub = Graph._from_masks(
         len(old_ids),
-        (),
+        adj,
         [g.weights[v] for v in old_ids],
         [g.label(v) for v in old_ids] if g.labels is not None else None,
     )
-    sub.adj[:] = adj
     return sub, remap
 
 
@@ -220,11 +236,13 @@ def parse_dimacs(data: str | bytes) -> Graph:
     Accepted lines: `c ...` comments anywhere, exactly one `p edge <n> <m>`
     problem line, `e <u> <v>` edges (1-based, deduplicated, symmetrized),
     and optional `n <v> <w>` vertex-weight lines. Lines may end in LF or
-    CRLF; tokens are separated by runs of spaces/tabs. The declared edge
-    count is advisory: a mismatch warns (DimacsWarning) instead of failing.
+    CRLF; tokens are separated by runs of spaces/tabs. Comment lines may
+    hold any bytes; any other line must be ASCII. The declared edge count
+    is advisory: a mismatch warns (DimacsWarning) instead of failing.
     """
     if isinstance(data, bytes):
-        data = data.decode("ascii")
+        # latin-1 maps every byte to one character, so decoding cannot fail
+        data = data.decode("latin-1")
     n = -1
     adj: list[int] = []
     weights: list[int] = []
@@ -236,6 +254,8 @@ def parse_dimacs(data: str | bytes) -> Graph:
         fields = line.split()
         if not fields or fields[0] == "c":
             continue
+        if not line.isascii():
+            raise DimacsError(line_no, f"non-ASCII character in line: {line!r}")
         kind = fields[0]
         if kind == "p":
             if n >= 0:
@@ -296,9 +316,7 @@ def parse_dimacs(data: str | bytes) -> Graph:
             DimacsWarning,
             stacklevel=2,
         )
-    g = Graph(n, (), weights)
-    g.adj[:] = adj
-    return g
+    return Graph._from_masks(n, adj, weights)
 
 
 def write_dimacs(g: Graph) -> str:

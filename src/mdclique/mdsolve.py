@@ -1,15 +1,14 @@
 """Maximum-weight clique via the decomposition tree.
 
-The tree is folded depth-first: a leaf contributes its own vertex; a
-parallel node takes its best child (no clique crosses disconnected parts);
-a series node takes the union of all child cliques (all parts are fully
-interconnected); a prime node builds the weighted quotient on its children,
-runs the branch-and-bound solver on it, and expands the chosen quotient
-vertices back to their child cliques.
+The tree is folded bottom-up, every child before its parent: a leaf
+contributes its own vertex; a parallel node takes its best child (no clique
+crosses disconnected parts); a series node takes the union of all child
+cliques (all parts are fully interconnected); a prime node builds the
+weighted quotient on its children, runs the branch-and-bound solver on it,
+and expands the chosen quotient vertices back to their child cliques.
 """
 from __future__ import annotations
 
-import sys
 import time
 from dataclasses import dataclass, replace
 
@@ -21,8 +20,8 @@ from .wclique import DEFAULT_CONFIG, SolverConfig, max_weight_clique
 @dataclass(frozen=True)
 class NodeSolution:
     """Best clique within one tree node's span, in original vertex ids.
-    status is TIMED_OUT when any prime solve below the node hit its limit
-    (the weight is then a valid lower bound)."""
+    status is TIMED_OUT when any prime solve in the node's own subtree hit
+    its limit (the weight is then a valid lower bound)."""
 
     node: MDNode
     weight: int
@@ -40,55 +39,40 @@ class SolveInfo:
     prime_solver_calls: int
 
 
-class _TreeFold:
-    def __init__(self, g: Graph, config: SolverConfig):
-        self.graph = g
-        self.config = config
-        # quotient solves always run with the dominance reduction on: it is
-        # sound for any instance and it is what lets prime quotients with
-        # heavy twin-like structure (e.g. the coprime family) close quickly
-        self.prime_config = replace(config, reduce_dominated=True)
-        self.prime_solver_calls = 0
-        self.timed_out = False
-
-    def fold(self, node: MDNode) -> NodeSolution:
-        g = self.graph
-        if node.kind is NodeKind.LEAF:
-            v = node.vertex
-            return NodeSolution(node, g.weights[v], (v,), SolveStatus.OPTIMAL)
-        parts = [self.fold(child) for child in node.children]
-        if node.kind is NodeKind.PARALLEL:
-            best = parts[0]
-            for part in parts[1:]:
-                if part.weight > best.weight:
-                    best = part
-            return NodeSolution(node, best.weight, best.vertices, self._status())
-        if node.kind is NodeKind.SERIES:
-            vertices: list[int] = []
-            for part in parts:
-                vertices.extend(part.vertices)
-            weight = sum(part.weight for part in parts)
-            return NodeSolution(node, weight, tuple(sorted(vertices)), self._status())
-        q = quotient(g, node, [part.weight for part in parts])
-        self.prime_solver_calls += 1
-        picked = max_weight_clique(q.graph, self.prime_config)
-        if picked.status is SolveStatus.TIMED_OUT:
-            self.timed_out = True
-        vertices = []
-        for qv in picked.vertices:
-            vertices.extend(parts[qv].vertices)
-        return NodeSolution(node, picked.weight, tuple(sorted(vertices)), self._status())
-
-    def _status(self) -> SolveStatus:
-        return SolveStatus.TIMED_OUT if self.timed_out else SolveStatus.OPTIMAL
-
-
 def solve_node(g: Graph, node: MDNode, config: SolverConfig = DEFAULT_CONFIG) -> NodeSolution:
     """Best clique within `node`'s span. The config's time limit applies to
     each prime-node quotient solve separately."""
-    if sys.getrecursionlimit() < 4 * g.n + 1000:
-        sys.setrecursionlimit(4 * g.n + 1000)
-    return _TreeFold(g, config).fold(node)
+    # quotient solves always run with the dominance reduction on: it is
+    # sound for any instance and it is what lets prime quotients with
+    # heavy twin-like structure (e.g. the coprime family) close quickly
+    prime_config = replace(config, reduce_dominated=True)
+    order = [node]
+    for parent in order:
+        order.extend(parent.children)
+    # reversed breadth-first order puts every child before its parent
+    solved: dict[MDNode, NodeSolution] = {}
+    for current in reversed(order):
+        if current.is_leaf:
+            v = current.vertex
+            solved[current] = NodeSolution(current, g.weights[v], (v,), SolveStatus.OPTIMAL)
+            continue
+        parts = [solved.pop(child) for child in current.children]
+        timed_out = any(part.status is SolveStatus.TIMED_OUT for part in parts)
+        if current.kind is NodeKind.PARALLEL:
+            best = max(parts, key=lambda part: part.weight)
+            weight, vertices = best.weight, best.vertices
+        elif current.kind is NodeKind.SERIES:
+            weight = sum(part.weight for part in parts)
+            vertices = tuple(sorted(v for part in parts for v in part.vertices))
+        else:
+            q = quotient(g, current, [part.weight for part in parts])
+            picked = max_weight_clique(q.graph, prime_config)
+            timed_out = timed_out or picked.status is SolveStatus.TIMED_OUT
+            weight = picked.weight
+            vertices = tuple(sorted(v for qv in picked.vertices for v in parts[qv].vertices))
+        status = SolveStatus.TIMED_OUT if timed_out else SolveStatus.OPTIMAL
+        solved[current] = NodeSolution(current, weight, vertices, status)
+    return solved[node]
 
 
 def solve(g: Graph, config: SolverConfig = DEFAULT_CONFIG) -> tuple[Solution, SolveInfo]:
@@ -99,17 +83,15 @@ def solve(g: Graph, config: SolverConfig = DEFAULT_CONFIG) -> tuple[Solution, So
     t0 = time.perf_counter()
     tree = decompose(g)
     t1 = time.perf_counter()
-    fold = _TreeFold(g, config)
-    if sys.getrecursionlimit() < 4 * g.n + 1000:
-        sys.setrecursionlimit(4 * g.n + 1000)
-    root_solution = fold.fold(tree.root)
+    root_solution = solve_node(g, tree.root, config)
     t2 = time.perf_counter()
     solution = Solution(root_solution.vertices, root_solution.weight, root_solution.status)
     info = SolveInfo(
         md_seconds=t1 - t0,
         solve_seconds=t2 - t1,
         tree=tree,
-        prime_solver_calls=fold.prime_solver_calls,
+        # the fold runs one quotient solve per prime node
+        prime_solver_calls=tree.kind_counts()["prime"],
     )
     return solution, info
 

@@ -6,16 +6,17 @@ canonical rooted tree: leaves are vertices, and each internal node is typed
 Parallel (children have no cross edges), Series (all cross edges present),
 or Prime (the quotient on the children has only trivial modules).
 
-`decompose` uses the classic recursive scheme: split off connected
-components (Parallel), else co-connected components (Series), else compute
-the prime node's children as the maximal proper modules, found by partition
-refinement around a pivot plus module-closure tests. It is not linear-time,
-but it is straightforwardly correct and bitmask-fast in practice; the tree
-is validated by `verify_tree` and a brute-force module enumerator in tests.
+`decompose` splits each span top-down: into its connected components
+(Parallel), else its co-connected components (Series), else the prime
+node's children, the maximal proper modules, found by partition refinement
+around a pivot plus module-closure tests. Spans wait on an explicit stack,
+so no tree depth meets the interpreter's recursion limit. It is not
+linear-time, but it is straightforwardly correct and bitmask-fast in
+practice; the tree is validated by `verify_tree` and a brute-force module
+enumerator in tests.
 """
 from __future__ import annotations
 
-import sys
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
@@ -76,7 +77,22 @@ class MDTree:
 
     def serialize(self) -> str:
         """One-line bracketed form, e.g. Prime[Series[a,b,c],d,Parallel[e,f],g]."""
-        return _serialize(self.root, self.graph)
+        out = []
+        stack: list[MDNode | str] = [self.root]
+        while stack:
+            item = stack.pop()
+            if isinstance(item, str):
+                out.append(item)
+            elif item.is_leaf:
+                out.append(self.graph.label(item.vertex))
+            else:
+                out.append(f"{item.kind.value}[")
+                stack.append("]")
+                for i, child in enumerate(reversed(item.children)):
+                    if i:
+                        stack.append(",")
+                    stack.append(child)
+        return "".join(out)
 
     def iter_nodes(self) -> Iterator[MDNode]:
         stack = [self.root]
@@ -93,18 +109,13 @@ class MDTree:
 
     def depth(self) -> int:
         """Longest root-to-leaf path in edges (0 for a bare leaf root)."""
-        def walk(node: MDNode) -> int:
-            if node.is_leaf:
-                return 0
-            return 1 + max(walk(c) for c in node.children)
-        return walk(self.root)
-
-
-def _serialize(node: MDNode, g: Graph) -> str:
-    if node.is_leaf:
-        return g.label(node.vertex)
-    inner = ",".join(_serialize(c, g) for c in node.children)
-    return f"{node.kind.value}[{inner}]"
+        deepest = 0
+        stack = [(self.root, 0)]
+        while stack:
+            node, d = stack.pop()
+            deepest = max(deepest, d)
+            stack.extend((c, d + 1) for c in node.children)
+        return deepest
 
 
 def is_module(g: Graph, s: Iterable[int]) -> bool:
@@ -125,8 +136,9 @@ def _is_module_mask(adj: list[int], universe: int, mask: int) -> bool:
     return True
 
 
-def _components(adj: list[int], span: int) -> list[int]:
-    """Connected components of the subgraph induced by span, as masks."""
+def _components(adj: list[int], span: int, flip: int) -> list[int]:
+    """Connected components of the subgraph induced by span, as masks; with
+    flip = span, those of its complement (each row is XORed with flip)."""
     comps = []
     rest = span
     while rest:
@@ -135,26 +147,8 @@ def _components(adj: list[int], span: int) -> list[int]:
         while frontier:
             nxt = 0
             for v in iter_bits(frontier):
-                nxt |= adj[v]
+                nxt |= adj[v] ^ flip
             frontier = nxt & span & ~comp
-            comp |= frontier
-        comps.append(comp)
-        rest &= ~comp
-    return comps
-
-
-def _co_components(adj: list[int], span: int) -> list[int]:
-    """Connected components of the complement, restricted to span."""
-    comps = []
-    rest = span
-    while rest:
-        comp = rest & -rest
-        frontier = comp
-        while frontier:
-            nxt = 0
-            for v in iter_bits(frontier):
-                nxt |= span & ~(adj[v] | (1 << v))
-            frontier = nxt & ~comp
             comp |= frontier
         comps.append(comp)
         rest &= ~comp
@@ -244,21 +238,41 @@ def _prime_children(adj: list[int], span: int) -> list[int]:
     return children
 
 
-def _decompose_span(adj: list[int], span: int) -> MDNode:
-    if span & (span - 1) == 0:
-        return MDNode(NodeKind.LEAF, vertex=span.bit_length() - 1)
-    comps = _components(adj, span)
+def _split(adj: list[int], span: int) -> tuple[NodeKind, list[int]]:
+    """Kind and child spans of the node over a span of >= 2 vertices."""
+    comps = _components(adj, span, 0)
     if len(comps) > 1:
-        kind, child_spans = NodeKind.PARALLEL, comps
-    else:
-        cocomps = _co_components(adj, span)
-        if len(cocomps) > 1:
-            kind, child_spans = NodeKind.SERIES, cocomps
+        return NodeKind.PARALLEL, comps
+    cocomps = _components(adj, span, span)
+    if len(cocomps) > 1:
+        return NodeKind.SERIES, cocomps
+    return NodeKind.PRIME, _prime_children(adj, span)
+
+
+def _decompose_span(adj: list[int], span: int) -> MDNode:
+    """Tree of the span-induced subgraph. Each stack frame is an internal
+    node under construction: (kind, built children, pending child spans)."""
+    stack: list[tuple[NodeKind, list[MDNode], list[int]]] = []
+    while True:
+        if span & (span - 1):
+            kind, pending = _split(adj, span)
+            stack.append((kind, [], pending))
+            span = pending.pop()
+            continue
+        node = MDNode(NodeKind.LEAF, vertex=span.bit_length() - 1)
+        # hand the finished node to its parent, closing every frame that
+        # has no pending span left, until one does
+        while stack:
+            kind, built, pending = stack[-1]
+            built.append(node)
+            if pending:
+                span = pending.pop()
+                break
+            stack.pop()
+            built.sort(key=lambda c: c.span & -c.span)
+            node = MDNode(kind, children=tuple(built))
         else:
-            kind, child_spans = NodeKind.PRIME, _prime_children(adj, span)
-    children = [_decompose_span(adj, s) for s in child_spans]
-    children.sort(key=lambda c: c.span & -c.span)
-    return MDNode(kind, children=tuple(children))
+            return node
 
 
 def decompose(g: Graph) -> MDTree:
@@ -270,9 +284,6 @@ def decompose(g: Graph) -> MDTree:
     """
     if g.n < 1:
         raise ValueError("cannot decompose an empty graph")
-    limit = 4 * g.n + 1000
-    if sys.getrecursionlimit() < limit:
-        sys.setrecursionlimit(limit)
     return MDTree(root=_decompose_span(g.adj, g.full_mask), graph=g)
 
 
@@ -338,16 +349,11 @@ def enumerate_modules_bruteforce(g: Graph, limit: int = 15) -> list[tuple[int, .
     return found
 
 
-def _quotient_is_primitive(adj: list[int], reps: list[int]) -> bool:
-    """True iff the quotient graph on the representatives has only trivial
-    modules, via pairwise module closures."""
-    k = len(reps)
-    qadj = [0] * k
-    for i in range(k):
-        for j in range(i + 1, k):
-            if adj[reps[i]] >> reps[j] & 1:
-                qadj[i] |= 1 << j
-                qadj[j] |= 1 << i
+def _quotient_is_primitive(qadj: list[int]) -> bool:
+    """True iff the graph with adjacency qadj has only trivial modules. Exact:
+    a nontrivial module contains a pair, and that pair's module closure
+    stays inside it."""
+    k = len(qadj)
     full = (1 << k) - 1
     for i in range(k):
         for j in range(i + 1, k):
@@ -370,11 +376,13 @@ def verify_tree(g: Graph, t: MDTree) -> list[str]:
     if t.root.span != g.full_mask:
         report("root", f"span {t.root.span_vertices()} != V(G)")
 
-    def walk(node: MDNode, path: str) -> None:
+    stack = [(t.root, "root")]
+    while stack:
+        node, path = stack.pop()
         if node.is_leaf:
             if node.span != 1 << node.vertex:
                 report(path, "leaf span != {vertex}")
-            return
+            continue
         if len(node.children) < 2:
             report(path, "internal node with < 2 children")
         union = 0
@@ -406,45 +414,18 @@ def verify_tree(g: Graph, t: MDTree) -> list[str]:
             if any(c.kind is NodeKind.SERIES for c in node.children):
                 report(path, "series node with a series child")
         else:
-            if len(node.children) < 4:
+            k = len(node.children)
+            if k < 4:
                 report(path, "prime node with < 4 children")
-            reps = [(s & -s).bit_length() - 1 for s in spans]
-            k = len(reps)
-            cross = sum(
-                1
-                for i in range(k)
-                for j in range(i + 1, k)
-                if g.adj[reps[i]] >> reps[j] & 1
-            )
-            if cross == 0:
+            q = quotient(g, node, [1] * k).graph
+            if q.m == 0:
                 report(path, "prime node quotient is edgeless")
-            elif cross == k * (k - 1) // 2:
+            elif q.m == k * (k - 1) // 2:
                 report(path, "prime node quotient is complete")
-            if k <= 15:
-                sub_adj = [0] * k
-                for i in range(k):
-                    for j in range(i + 1, k):
-                        if g.adj[reps[i]] >> reps[j] & 1:
-                            sub_adj[i] |= 1 << j
-                            sub_adj[j] |= 1 << i
-                qfull = (1 << k) - 1
-                nontrivial = [
-                    mask
-                    for mask in range(1, qfull + 1)
-                    if mask.bit_count() not in (1, k)
-                    and _is_module_mask(sub_adj, qfull, mask)
-                ]
-                if nontrivial:
-                    report(path, "prime node quotient has a nontrivial module")
-            elif not _quotient_is_primitive(g.adj, reps):
+            if not _quotient_is_primitive(q.adj):
                 report(path, "prime node quotient has a nontrivial module")
-        for i, child in enumerate(node.children):
-            walk(child, f"{path}.{i}")
-
-    limit = 4 * g.n + 1000
-    if sys.getrecursionlimit() < limit:
-        sys.setrecursionlimit(limit)
-    walk(t.root, "root")
+        for i in reversed(range(len(node.children))):
+            stack.append((node.children[i], f"{path}.{i}"))
 
     leaves = vertex_mask(
         node.vertex for node in t.iter_nodes() if node.is_leaf

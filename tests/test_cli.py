@@ -50,6 +50,14 @@ class TestSolveCommand:
         assert rc == 1
         assert "line 2" in capsys.readouterr().err
 
+    def test_non_ascii_edge_line(self, tmp_path, capsys):
+        bad = tmp_path / "bad.clq"
+        bad.write_bytes(b"c \xc3\xa9\np edge 2 1\ne 1 \xe92\n")
+        rc = main(["solve", str(bad)])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert "line 3: non-ASCII" in err and "Traceback" not in err
+
     def test_timeout_exit_code(self, tmp_path, capsys):
         path = tmp_path / "coprime500.clq"
         path.write_text(write_dimacs(coprime_graph(500)))

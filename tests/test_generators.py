@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import math
 import random
 from itertools import combinations
@@ -94,6 +95,14 @@ class TestRandomCograph:
         b = random_cograph(137, 99)
         assert a == b
         assert write_dimacs(a) == write_dimacs(b)
+
+    @pytest.mark.parametrize(
+        "n, seed, digest",
+        [(500, 1, "6be942a87e5c5e68"), (137, 99, "60e99343622ac7a5"), (2000, 7, "7d44bad118fa31d0")],
+    )
+    def test_golden_dimacs_digest(self, n, seed, digest):
+        text = write_dimacs(random_cograph(n, seed))
+        assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
 
     def test_different_seeds_differ(self):
         assert random_cograph(100, 1) != random_cograph(100, 2)

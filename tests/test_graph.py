@@ -55,6 +55,38 @@ class TestGraph:
         assert g2.label(1) == "y"
 
 
+class TestFromAdjacency:
+    def test_accepts_symmetric_masks(self):
+        g = Graph.from_adjacency(3, [0b110, 0b001, 0b001], weights=[2, 1, 1])
+        assert g == Graph(3, [(0, 1), (0, 2)], weights=[2, 1, 1])
+
+    def test_copies_caller_list(self):
+        adj = [0b10, 0b01]
+        g = Graph.from_adjacency(2, adj)
+        adj[0] = adj[1] = 0
+        assert g.has_edge(0, 1)
+
+    def test_rejects_asymmetric_row(self):
+        with pytest.raises(ValueError, match="asymmetric adjacency between (0 and 2|2 and 0)"):
+            Graph.from_adjacency(3, [0b110, 0b001, 0b000])
+
+    def test_rejects_self_loop(self):
+        with pytest.raises(ValueError, match="self-loop at vertex 1"):
+            Graph.from_adjacency(2, [0b00, 0b10])
+
+    def test_rejects_out_of_range_bit(self):
+        with pytest.raises(ValueError, match="out of range"):
+            Graph.from_adjacency(2, [0b100, 0b000])
+
+    def test_rejects_wrong_row_count(self):
+        with pytest.raises(ValueError, match="one adjacency mask per vertex"):
+            Graph.from_adjacency(3, [0b10, 0b01])
+
+    def test_rejects_bad_weights(self):
+        with pytest.raises(ValueError, match="positive integer"):
+            Graph.from_adjacency(2, [0b10, 0b01], weights=[1, 0])
+
+
 class TestParseDimacs:
     def test_triangle(self):
         g = parse_dimacs(TRIANGLE)
@@ -78,6 +110,19 @@ class TestParseDimacs:
     def test_comments_anywhere(self):
         g = parse_dimacs("c x\np edge 2 1\nc y\ne 1 2\nc z\n")
         assert g.m == 1
+
+    def test_utf8_comment_accepted(self):
+        g = parse_dimacs("c graphe généré\np edge 2 1\nc ü\ne 1 2\n".encode("utf-8"))
+        assert g.n == 2 and g.m == 1
+
+    def test_latin1_byte_in_edge_line(self):
+        with pytest.raises(DimacsError, match="line 2: non-ASCII"):
+            parse_dimacs(b"p edge 2 1\ne 1 2\xe9\n")
+
+    def test_non_ascii_digits_in_str(self):
+        # int() would accept the Arabic-Indic digit one
+        with pytest.raises(DimacsError, match="line 2: non-ASCII"):
+            parse_dimacs("p edge 2 1\ne \u0661 2\n")
 
     def test_edge_before_problem_line(self):
         with pytest.raises(DimacsError, match="line 1"):

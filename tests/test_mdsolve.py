@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import sys
 
 import pytest
 
@@ -21,6 +22,7 @@ from mdclique import (
     set_weight,
     solve,
     solve_node,
+    verify_tree,
 )
 from conftest import weighted_gnp
 
@@ -141,6 +143,28 @@ class TestSolve:
         assert sol.status is SolveStatus.TIMED_OUT
         assert is_clique(g, sol.vertices)
         assert set_weight(g, sol.vertices) == sol.weight
+
+    def test_deep_tree_within_default_recursion_limit(self):
+        # alternating threshold graph: vertex v is joined to every earlier
+        # vertex iff v is odd, so the tree is a Series/Parallel chain of
+        # depth n - 1; its best clique is vertex 0 plus every odd vertex
+        n = 1500
+        odd = sum(1 << v for v in range(1, n, 2))
+        adj = [odd >> (v + 1) << (v + 1) | ((1 << v) - 1 if v % 2 else 0) for v in range(n)]
+        g = Graph.from_adjacency(n, adj)
+        old_limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(1000)
+        try:
+            tree = decompose(g)
+            assert verify_tree(g, tree) == []
+            assert tree.serialize().startswith("Series[Parallel[Series[")
+            assert tree.depth() == n - 1
+            sol, _ = solve(g)
+            assert sol.status is SolveStatus.OPTIMAL and sol.weight == 751
+            assert random_cograph(2000, 7).n == 2000
+            assert sys.getrecursionlimit() == 1000
+        finally:
+            sys.setrecursionlimit(old_limit)
 
     def test_weights_carried_through_tree(self):
         g = Graph(7, [(0, 1), (0, 2), (1, 2), (0, 3), (1, 3), (2, 3), (3, 4), (3, 5), (4, 6), (5, 6)],

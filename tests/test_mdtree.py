@@ -209,6 +209,23 @@ class TestVerifyTree:
             g = gnp(rng.randint(1, 16), rng.random(), seed=rng.randint(0, 10**9))
             assert verify_tree(g, decompose(g)) == []
 
+    @pytest.mark.parametrize("path_len", [5, 17])
+    def test_prime_node_with_twins_rejected(self, path_len):
+        # a path plus a false twin of vertex 2: the flat Prime node's quotient
+        # is the graph itself, whose twin pair is a nontrivial module
+        # (k = 6 and k = 18, on either side of 15 children)
+        n = path_len + 1
+        edges = [(v, v + 1) for v in range(path_len - 1)] + [(1, path_len), (3, path_len)]
+        g = Graph(n, edges)
+        t = MDTree(
+            root=MDNode(
+                NodeKind.PRIME,
+                children=tuple(MDNode(NodeKind.LEAF, vertex=v) for v in range(n)),
+            ),
+            graph=g,
+        )
+        assert verify_tree(g, t) == ["root: prime node quotient has a nontrivial module"]
+
 
 class TestQuotient:
     def test_hub7_root_quotient(self, hub7):
