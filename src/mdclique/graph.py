@@ -12,6 +12,12 @@ from enum import Enum
 from typing import Iterable, Iterator
 
 
+# largest vertex count parse_dimacs accepts: the bitset adjacency of a dense
+# graph takes about n * n / 8 bytes, 512 MiB at this bound, and the parser
+# allocates its per-vertex lists before it reads any edge
+MAX_VERTICES = 1 << 16
+
+
 class DimacsError(ValueError):
     """Malformed DIMACS input. `line` is the 1-based offending line number."""
 
@@ -238,7 +244,8 @@ def parse_dimacs(data: str | bytes) -> Graph:
     and optional `n <v> <w>` vertex-weight lines. Lines may end in LF or
     CRLF; tokens are separated by runs of spaces/tabs. Comment lines may
     hold any bytes; any other line must be ASCII. The declared edge count
-    is advisory: a mismatch warns (DimacsWarning) instead of failing.
+    is advisory: a mismatch warns (DimacsWarning) instead of failing. At
+    most MAX_VERTICES vertices are accepted.
     """
     if isinstance(data, bytes):
         # latin-1 maps every byte to one character, so decoding cannot fail
@@ -268,6 +275,8 @@ def parse_dimacs(data: str | bytes) -> Graph:
                 raise DimacsError(line_no, f"malformed problem line: {line!r}") from None
             if n < 0 or declared_m < 0:
                 raise DimacsError(line_no, "problem line counts must be >= 0")
+            if n > MAX_VERTICES:
+                raise DimacsError(line_no, f"vertex count {n} exceeds the limit of {MAX_VERTICES}")
             adj = [0] * n
             weights = [1] * n
         elif kind == "e":

@@ -8,15 +8,18 @@ or Prime (the quotient on the children has only trivial modules).
 
 `decompose` splits each span top-down: into its connected components
 (Parallel), else its co-connected components (Series), else the prime
-node's children, the maximal proper modules, found by partition refinement
-around a pivot plus module-closure tests. Spans wait on an explicit stack,
-so no tree depth meets the interpreter's recursion limit. It is not
-linear-time, but it is straightforwardly correct and bitmask-fast in
-practice; the tree is validated by `verify_tree` and a brute-force module
-enumerator in tests.
+node's children, the maximal proper modules. Those come from partition
+refinement around a pivot, M(G, v), and reachability in the forcing graph
+of the quotient G/M(G, v) (Ehrenfeucht, Gabow, McConnell and Sullivan,
+J. Algorithms 1994). Spans wait on an explicit stack, so no tree depth
+meets the interpreter's recursion limit. It is not linear-time, but it is
+bitmask-fast in practice; the tree is validated by `verify_tree`, whose
+primality check uses plain module closures instead of the forcing graph,
+and by a brute-force module enumerator in tests.
 """
 from __future__ import annotations
 
+import operator
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
@@ -136,20 +139,26 @@ def _is_module_mask(adj: list[int], universe: int, mask: int) -> bool:
     return True
 
 
+def _reach(rows: list[int], start: int, within: int, flip: int = 0) -> int:
+    """Vertices of `within` reachable from the start mask, where the
+    out-neighbours of vertex v are rows[v] ^ flip."""
+    reached = frontier = start
+    while frontier:
+        nxt = 0
+        for v in iter_bits(frontier):
+            nxt |= rows[v] ^ flip
+        frontier = nxt & within & ~reached
+        reached |= frontier
+    return reached
+
+
 def _components(adj: list[int], span: int, flip: int) -> list[int]:
     """Connected components of the subgraph induced by span, as masks; with
     flip = span, those of its complement (each row is XORed with flip)."""
     comps = []
     rest = span
     while rest:
-        comp = rest & -rest
-        frontier = comp
-        while frontier:
-            nxt = 0
-            for v in iter_bits(frontier):
-                nxt |= adj[v] ^ flip
-            frontier = nxt & span & ~comp
-            comp |= frontier
+        comp = _reach(adj, rest & -rest, span, flip)
         comps.append(comp)
         rest &= ~comp
     return comps
@@ -217,23 +226,81 @@ def _module_closure(adj: list[int], span: int, seed: int) -> int:
     return s
 
 
+def _compress(adj: list[int], rows: list[int], cols: list[int]) -> list[int]:
+    """The submatrix of adj on the given rows and columns: bit j of entry i
+    is bit cols[j] of adj[rows[i]].
+
+    Each row is formatted as a binary string of the graph's full width
+    len(adj) (rows hold bits beyond any one span) and its column
+    characters are gathered by one itemgetter, so a row costs a few
+    C-level passes instead of a Python loop over its bits.
+    """
+    n = len(adj)
+    get = operator.itemgetter(*[n - 1 - c for c in reversed(cols)])
+    width = f"0{n}b"
+    return [int("".join(get(format(adj[r], width))), 2) for r in rows]
+
+
+def _reaching_all(out: list[int], into: list[int]) -> int:
+    """Mask of the nodes that reach every node, in the digraph with
+    out-neighbour masks `out` and their transpose `into`.
+
+    The node that finishes last in a depth-first search lies in a source
+    component of the condensation. A node reaching everything exists only
+    if that source is the only one, and then the nodes reaching everything
+    are exactly the nodes that reach it.
+    """
+    full = (1 << len(out)) - 1
+    seen = 0
+    last = 0
+    while seen != full:
+        start = ~seen & (seen + 1)
+        seen |= start
+        stack = [start.bit_length() - 1]
+        while stack:
+            fresh = out[stack[-1]] & ~seen
+            if fresh:
+                low = fresh & -fresh
+                seen |= low
+                stack.append(low.bit_length() - 1)
+            else:
+                last = stack.pop()
+    if _reach(out, 1 << last, full) != full:
+        return 0
+    return _reach(into, 1 << last, full)
+
+
 def _prime_children(adj: list[int], span: int) -> list[int]:
     """Child spans of a prime node (span connected and co-connected).
 
-    The children are the maximal proper modules. Those avoiding the pivot
-    come from partition refinement; a refinement class belongs inside the
-    pivot's own child exactly when its closure with the pivot stays proper.
+    The children are the maximal proper modules. Partition refinement
+    gives the maximal modules avoiding the pivot v, the classes M(G, v);
+    each is a child or lies inside v's own child. On the quotient
+    G/M(G, v), class X forces class Y when Y tells v and X apart, so the
+    smallest module holding v and X is v plus every class X reaches. X is
+    a child exactly when that module is the whole span: when X reaches
+    every class.
     """
     pivot_bit = span & -span
     pivot = pivot_bit.bit_length() - 1
     classes = _maximal_modules_avoiding(adj, span, pivot)
+    full = (1 << len(classes)) - 1
+    reps = [(cls & -cls).bit_length() - 1 for cls in classes]
+    rows = _compress(adj, reps + [pivot], reps)
+    pv = rows.pop()
+    # X_i forces X_j iff rep_j is adjacent to exactly one of v and rep_i;
+    # by symmetry of rows, the transpose flips row j whole when rep_j ~ v.
+    # The self-loops this leaves where rep_i ~ v change no reachability.
+    forces = [row ^ pv for row in rows]
+    forced_by = [row ^ full if pv >> j & 1 else row for j, row in enumerate(rows)]
+    sources = _reaching_all(forces, forced_by)
     pivot_child = pivot_bit
     children = []
-    for cls in classes:
-        if _module_closure(adj, span, pivot_bit | cls) != span:
-            pivot_child |= cls
-        else:
+    for i, cls in enumerate(classes):
+        if sources >> i & 1:
             children.append(cls)
+        else:
+            pivot_child |= cls
     children.append(pivot_child)
     return children
 
@@ -319,15 +386,11 @@ def quotient(g: Graph, node: MDNode, child_weights: list[int]) -> QuotientGraph:
         if w < 1:
             raise ValueError(f"child weight {i} must be >= 1")
     reps = [(c.span & -c.span).bit_length() - 1 for c in node.children]
-    edges = [
-        (i, j)
-        for i in range(k)
-        for j in range(i + 1, k)
-        if g.adj[reps[i]] >> reps[j] & 1
-    ]
-    q = Graph(
+    # a symmetric submatrix of the symmetric, loop-free adjacency is itself
+    # symmetric and loop-free, so the trusted constructor applies
+    q = Graph._from_masks(
         k,
-        edges,
+        _compress(g.adj, reps, reps),
         list(child_weights),
         [_joined_label(g, c.span) for c in node.children],
     )
@@ -350,16 +413,23 @@ def enumerate_modules_bruteforce(g: Graph, limit: int = 15) -> list[tuple[int, .
 
 
 def _quotient_is_primitive(qadj: list[int]) -> bool:
-    """True iff the graph with adjacency qadj has only trivial modules. Exact:
-    a nontrivial module contains a pair, and that pair's module closure
-    stays inside it."""
+    """True iff the graph with adjacency qadj has only trivial modules.
+
+    Exact, with k - 1 closures and one refinement instead of a closure per
+    pair. A nontrivial module M either avoids vertex 0 or contains it.
+    Every module avoiding 0 lies inside one class of the maximal modules
+    avoiding 0, and each class is itself a module avoiding 0; so some such
+    M exists iff some class has two members. If 0 is in M, M holds some
+    j != 0 and so holds the module closure of {0, j}; that closure is a
+    module with two members, so some such M exists iff some closure of
+    {0, j} is not the whole vertex set. This stays independent of the
+    forcing graph that `decompose` uses for the same question.
+    """
     k = len(qadj)
     full = (1 << k) - 1
-    for i in range(k):
-        for j in range(i + 1, k):
-            if _module_closure(qadj, full, (1 << i) | (1 << j)) != full:
-                return False
-    return True
+    if any(cls & (cls - 1) for cls in _maximal_modules_avoiding(qadj, full, 0)):
+        return False
+    return all(_module_closure(qadj, full, 1 | 1 << j) == full for j in range(1, k))
 
 
 def verify_tree(g: Graph, t: MDTree) -> list[str]:

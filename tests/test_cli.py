@@ -6,6 +6,7 @@ import pytest
 
 from mdclique import coprime_graph, parse_dimacs, write_dimacs
 from mdclique.cli import main
+from mdclique.graph import MAX_VERTICES
 from conftest import make_hub7
 
 
@@ -57,6 +58,14 @@ class TestSolveCommand:
         err = capsys.readouterr().err
         assert rc == 1
         assert "line 3: non-ASCII" in err and "Traceback" not in err
+
+    def test_vertex_count_over_limit(self, tmp_path, capsys):
+        big = tmp_path / "big.clq"
+        big.write_text(f"p edge {MAX_VERTICES + 1} 1\ne 1 2\n")
+        rc = main(["solve", str(big)])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert "line 1: vertex count" in err and "Traceback" not in err
 
     def test_timeout_exit_code(self, tmp_path, capsys):
         path = tmp_path / "coprime500.clq"

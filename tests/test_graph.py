@@ -16,6 +16,7 @@ from mdclique import (
     set_weight,
     write_dimacs,
 )
+from mdclique.graph import MAX_VERTICES
 
 TRIANGLE = "p edge 3 3\ne 1 2\ne 2 3\ne 1 3\n"
 
@@ -123,6 +124,13 @@ class TestParseDimacs:
         # int() would accept the Arabic-Indic digit one
         with pytest.raises(DimacsError, match="line 2: non-ASCII"):
             parse_dimacs("p edge 2 1\ne \u0661 2\n")
+
+    def test_vertex_count_limit(self):
+        # the boundary allocates two 65536-entry lists; one more is refused
+        # before any allocation
+        assert parse_dimacs(f"p edge {MAX_VERTICES} 0\n").n == MAX_VERTICES
+        with pytest.raises(DimacsError, match="line 2: vertex count 65537 exceeds"):
+            parse_dimacs(f"c big\np edge {MAX_VERTICES + 1} 0\n".encode())
 
     def test_edge_before_problem_line(self):
         with pytest.raises(DimacsError, match="line 1"):

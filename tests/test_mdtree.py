@@ -17,7 +17,7 @@ from mdclique import (
     quotient,
     verify_tree,
 )
-from mdclique.graph import vertex_mask
+from mdclique.graph import iter_bits, vertex_mask
 
 HUB7_TREE = "Prime[Series[a,b,c],d,Parallel[e,f],g]"
 # canonical decomposition of the coprime graph on 1..8: vertices 1, 5 and 7
@@ -43,6 +43,91 @@ def strong_modules_bruteforce(g: Graph) -> set[int]:
 
 def tree_spans(t: MDTree) -> set[int]:
     return {node.span for node in t.iter_nodes()}
+
+
+# A substitution spec is NodeKind.LEAF (one vertex) or (kind, [block specs]).
+# A Parallel or Series spec has >= 2 blocks, none of its own kind; a Prime
+# spec substitutes its k >= 4 blocks into the path P_k, which has only
+# trivial modules. The strong modules of the built graph are then exactly
+# the spans of the spec's nodes, each with the spec's kind.
+_OTHER = {NodeKind.PARALLEL: NodeKind.SERIES, NodeKind.SERIES: NodeKind.PARALLEL}
+
+
+def cotree_spec(rng: random.Random, size: int, kind: NodeKind):
+    """Random cograph of `size` vertices whose root has the given kind."""
+    if size == 1:
+        return NodeKind.LEAF
+    cuts = sorted(rng.sample(range(1, size), rng.randint(1, min(size - 1, 4))))
+    parts = [b - a for a, b in zip([0] + cuts, cuts + [size])]
+    return (kind, [cotree_spec(rng, p, _OTHER[kind]) for p in parts])
+
+
+def threshold_spec(rng: random.Random, size: int):
+    """Threshold graph of `size` >= 2 vertices: runs of isolated and
+    dominating vertices, so its tree is a caterpillar of depth up to size - 1."""
+    spec = NodeKind.LEAF
+    kind = rng.choice(list(_OTHER))
+    left = size - 1
+    while left:
+        run = rng.randint(1, min(left, 3))
+        left -= run
+        spec = (kind, [spec] + [NodeKind.LEAF] * run)
+        kind = _OTHER[kind]
+    return spec
+
+
+def prime_spec(rng: random.Random, k: int, levels: int):
+    """Path P_k with each vertex replaced by a random block: a vertex, a
+    cograph, a threshold graph or, for `levels` > 0, a smaller substituted
+    path."""
+    blocks = []
+    for _ in range(k):
+        roll = rng.random()
+        if levels and roll < 0.15:
+            blocks.append(prime_spec(rng, rng.randint(4, 8), levels - 1))
+        elif roll < 0.4:
+            blocks.append(NodeKind.LEAF)
+        elif roll < 0.7:
+            blocks.append(cotree_spec(rng, rng.randint(2, 20), rng.choice(list(_OTHER))))
+        else:
+            blocks.append(threshold_spec(rng, rng.randint(2, 24)))
+    return (NodeKind.PRIME, blocks)
+
+
+def substituted_graph(spec, seed: int) -> tuple[Graph, dict[int, NodeKind]]:
+    """Build the spec's graph with randomly permuted vertex ids, plus its
+    strong modules as span -> tree node kind."""
+    def size(spec) -> int:
+        return 1 if spec is NodeKind.LEAF else sum(size(b) for b in spec[1])
+
+    n = size(spec)
+    ids = list(range(n))
+    random.Random(seed).shuffle(ids)
+    adj = [0] * n
+    kinds: dict[int, NodeKind] = {}
+
+    def build(spec) -> int:
+        if spec is NodeKind.LEAF:
+            span = 1 << ids.pop()
+            kinds[span] = NodeKind.LEAF
+            return span
+        kind, blocks = spec
+        spans = [build(b) for b in blocks]
+        whole = sum(spans)  # the blocks are disjoint
+        for i, s in enumerate(spans):
+            if kind is NodeKind.SERIES:
+                joined = whole & ~s
+            elif kind is NodeKind.PRIME:
+                joined = (spans[i - 1] if i else 0) | (spans[i + 1] if i + 1 < len(spans) else 0)
+            else:
+                joined = 0
+            for v in iter_bits(s):
+                adj[v] |= joined
+        kinds[whole] = kind
+        return whole
+
+    build(spec)
+    return Graph.from_adjacency(n, adj), kinds
 
 
 def unlabeled_shape(node: MDNode) -> str:
@@ -144,6 +229,18 @@ class TestDecompose:
                     mods = enumerate_modules_bruteforce(q.graph)
                     assert all(len(m) in (1, k) for m in mods)
 
+    def test_known_tree_at_scale(self):
+        # two levels of paths substituted into a path of 100 blocks: far
+        # beyond the brute-force enumerator, with the tree known by
+        # construction
+        spec = prime_spec(random.Random(44), 100, levels=2)
+        g, expected = substituted_graph(spec, seed=47)
+        assert 1800 <= g.n <= 2600
+        t = decompose(g)
+        assert {node.span: node.kind for node in t.iter_nodes()} == expected
+        assert max(len(node.children) for node in t.iter_nodes()
+                   if node.kind is NodeKind.PRIME) >= 100
+
     def test_strong_modules_match_bruteforce(self):
         rng = random.Random(23)
         for _ in range(60):
@@ -211,20 +308,29 @@ class TestVerifyTree:
 
     @pytest.mark.parametrize("path_len", [5, 17])
     def test_prime_node_with_twins_rejected(self, path_len):
-        # a path plus a false twin of vertex 2: the flat Prime node's quotient
-        # is the graph itself, whose twin pair is a nontrivial module
-        # (k = 6 and k = 18, on either side of 15 children)
+        # a path plus a false twin of one of its vertices: the flat Prime
+        # node's quotient is the graph itself, whose twin pair is a
+        # nontrivial module. A twin of vertex 2 avoids vertex 0 and is found
+        # by the refinement; a twin of vertex 0 holds vertex 0 and is found
+        # by a closure. k = 6 and k = 18 sit on either side of 15 children.
         n = path_len + 1
-        edges = [(v, v + 1) for v in range(path_len - 1)] + [(1, path_len), (3, path_len)]
-        g = Graph(n, edges)
-        t = MDTree(
-            root=MDNode(
-                NodeKind.PRIME,
-                children=tuple(MDNode(NodeKind.LEAF, vertex=v) for v in range(n)),
-            ),
-            graph=g,
-        )
-        assert verify_tree(g, t) == ["root: prime node quotient has a nontrivial module"]
+        for twin_of in (2, 0):
+            edges = [(v, v + 1) for v in range(path_len - 1)]
+            edges += [(u, path_len) for u in (twin_of - 1, twin_of + 1) if u >= 0]
+            g = Graph(n, edges)
+            t = MDTree(
+                root=MDNode(
+                    NodeKind.PRIME,
+                    children=tuple(MDNode(NodeKind.LEAF, vertex=v) for v in range(n)),
+                ),
+                graph=g,
+            )
+            assert verify_tree(g, t) == ["root: prime node quotient has a nontrivial module"]
+
+    def test_coprime_1200_verifies(self):
+        # a prime node of 642 children: one closure per pair would take minutes
+        g = coprime_graph(1200)
+        assert verify_tree(g, decompose(g)) == []
 
 
 class TestQuotient:
