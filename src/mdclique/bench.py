@@ -5,28 +5,13 @@ from __future__ import annotations
 
 import csv
 import io
-import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Iterable
 
 from .graph import Graph, is_clique, parse_dimacs, set_weight
 from .mdsolve import solve
-from .wclique import Ordering, SolverConfig, max_weight_clique
-
-CSV_COLUMNS = [
-    "instance",
-    "n",
-    "m",
-    "mode",
-    "clique_weight",
-    "status",
-    "md_time_s",
-    "solve_time_s",
-    "total_time_s",
-    "prime_nodes",
-    "tree_depth",
-]
+from .wclique import Ordering, SolverConfig
 
 MODE_MD = "MD"
 MODE_PLAIN = "Plain"
@@ -34,6 +19,8 @@ MODE_PLAIN = "Plain"
 
 @dataclass(frozen=True)
 class BenchRecord:
+    """One CSV row; the field order is the column order."""
+
     instance: str
     n: int
     m: int
@@ -47,42 +34,33 @@ class BenchRecord:
     tree_depth: int
 
     def row(self) -> list[str]:
-        return [
-            self.instance,
-            str(self.n),
-            str(self.m),
-            self.mode,
-            str(self.clique_weight),
-            self.status,
-            f"{self.md_time_s:.6f}",
-            f"{self.solve_time_s:.6f}",
-            f"{self.total_time_s:.6f}",
-            str(self.prime_nodes),
-            str(self.tree_depth),
-        ]
+        values = (getattr(self, name) for name in CSV_COLUMNS)
+        return [f"{v:.6f}" if isinstance(v, float) else str(v) for v in values]
+
+
+CSV_COLUMNS = [f.name for f in fields(BenchRecord)]
 
 
 def error_record(instance: str, mode: str) -> BenchRecord:
     return BenchRecord(instance, 0, 0, mode, 0, "ERROR", 0.0, 0.0, 0.0, 0, 0)
 
 
+def load_instance(path: str | Path) -> Graph:
+    """Read and parse one DIMACS file. Raises OSError, DimacsError, or
+    ValueError for a graph with no vertices, which has nothing to solve."""
+    g = parse_dimacs(Path(path).read_bytes())
+    if g.n < 1:
+        raise ValueError("graph has no vertices")
+    return g
+
+
 def bench_graph(instance: str, g: Graph, mode: str,
                 config: SolverConfig) -> BenchRecord:
     """Solve one instance in one mode and build its record. The returned
     witness is re-verified against the graph; a mismatch is a hard error."""
-    if mode == MODE_MD:
-        solution, info = solve(g, config)
-        md_s, solve_s = info.md_seconds, info.solve_seconds
-        prime_nodes = info.tree.kind_counts()["prime"]
-        tree_depth = info.tree.depth()
-    elif mode == MODE_PLAIN:
-        t0 = time.perf_counter()
-        solution = max_weight_clique(g, config)
-        md_s, solve_s = 0.0, time.perf_counter() - t0
-        prime_nodes = 0
-        tree_depth = 0
-    else:
+    if mode not in (MODE_MD, MODE_PLAIN):
         raise ValueError(f"unknown mode {mode!r}")
+    solution, info = solve(g, config, md=mode == MODE_MD)
     if not is_clique(g, solution.vertices):
         raise RuntimeError(f"{instance}/{mode}: reported witness is not a clique")
     if set_weight(g, solution.vertices) != solution.weight:
@@ -94,11 +72,11 @@ def bench_graph(instance: str, g: Graph, mode: str,
         mode=mode,
         clique_weight=solution.weight,
         status=solution.status.value,
-        md_time_s=md_s,
-        solve_time_s=solve_s,
-        total_time_s=md_s + solve_s,
-        prime_nodes=prime_nodes,
-        tree_depth=tree_depth,
+        md_time_s=info.md_seconds,
+        solve_time_s=info.solve_seconds,
+        total_time_s=info.md_seconds + info.solve_seconds,
+        prime_nodes=info.prime_solver_calls,
+        tree_depth=0 if info.tree is None else info.tree.depth(),
     )
 
 
@@ -125,14 +103,14 @@ def run_bench(paths: Iterable[str | Path], modes: list[str],
               time_limit: float = 300.0,
               ordering: Ordering = Ordering.DEGREE_DESC) -> list[BenchRecord]:
     """One record per (instance, mode), instances in input order, MD before
-    Plain. A file that fails to load yields ERROR rows and processing
-    continues."""
+    Plain. A file that fails to load, or holds no vertex, yields ERROR
+    rows and processing continues."""
     config = SolverConfig(time_limit=time_limit, ordering=ordering)
     records: list[BenchRecord] = []
     for path in expand_paths(paths):
         name = path.stem
         try:
-            g = parse_dimacs(path.read_bytes())
+            g = load_instance(path)
         except (OSError, ValueError):
             records.extend(error_record(name, mode) for mode in modes)
             continue

@@ -9,19 +9,13 @@ import sys
 from pathlib import Path
 
 from . import bench as bench_mod
-from .graph import DimacsError, parse_dimacs, write_dimacs
+from .graph import SolveStatus, write_dimacs
 from .generators import coprime_graph, gnp, random_cograph
 from .mdsolve import solve
 from .mdtree import decompose, verify_tree
-from .wclique import Ordering, SolverConfig, max_weight_clique
-from .graph import SolveStatus
+from .wclique import Ordering, SolverConfig
 
 _ORDERINGS = {o.value: o for o in Ordering}
-
-
-def _load(path: str):
-    data = Path(path).read_bytes()
-    return parse_dimacs(data)
 
 
 def _fail(message: str) -> int:
@@ -31,20 +25,12 @@ def _fail(message: str) -> int:
 
 def cmd_solve(args: argparse.Namespace) -> int:
     try:
-        g = _load(args.path)
-    except (OSError, DimacsError) as exc:
+        g = bench_mod.load_instance(args.path)
+    except (OSError, ValueError) as exc:
         return _fail(f"{args.path}: {exc}")
     config = SolverConfig(time_limit=args.time_limit, ordering=_ORDERINGS[args.ordering])
-    if args.plain:
-        import time
-
-        t0 = time.perf_counter()
-        solution = max_weight_clique(g, config)
-        solve_s = time.perf_counter() - t0
-        md_s = 0.0
-    else:
-        solution, info = solve(g, config)
-        md_s, solve_s = info.md_seconds, info.solve_seconds
+    solution, info = solve(g, config, md=not args.plain)
+    md_s, solve_s = info.md_seconds, info.solve_seconds
     print(f"instance: {args.path}")
     print(f"n={g.n} m={g.m}")
     print(f"clique weight: {solution.weight}")
@@ -58,8 +44,8 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 def cmd_md(args: argparse.Namespace) -> int:
     try:
-        g = _load(args.path)
-    except (OSError, DimacsError) as exc:
+        g = bench_mod.load_instance(args.path)
+    except (OSError, ValueError) as exc:
         return _fail(f"{args.path}: {exc}")
     tree = decompose(g)
     counts = tree.kind_counts()

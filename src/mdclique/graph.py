@@ -6,6 +6,7 @@ single big-int operation (one machine word per 64 vertices).
 """
 from __future__ import annotations
 
+import operator
 import warnings
 from dataclasses import dataclass
 from enum import Enum
@@ -214,26 +215,38 @@ def set_weight(g: Graph, s: Iterable[int]) -> int:
     return sum(g.weights[v] for v in iter_bits(mask))
 
 
+def _compress(adj: list[int], rows: list[int], cols: list[int]) -> list[int]:
+    """The submatrix of adj on the given rows and columns: bit j of entry i
+    is bit cols[j] of adj[rows[i]].
+
+    Each row is formatted as a binary string of the full width len(adj)
+    (a row may hold bits outside cols) and its column characters are
+    gathered by one itemgetter, so a row costs a few C-level passes
+    instead of a Python loop over its bits.
+    """
+    if not cols:
+        # itemgetter() takes at least one index
+        return [0] * len(rows)
+    n = len(adj)
+    get = operator.itemgetter(*[n - 1 - c for c in reversed(cols)])
+    width = f"0{n}b"
+    return [int("".join(get(format(adj[r], width))), 2) for r in rows]
+
+
 def induced_subgraph(g: Graph, s: Iterable[int]) -> tuple[Graph, dict[int, int]]:
     """Subgraph induced by s, plus the old->new id mapping.
 
     New ids are 0..|s|-1 in ascending old-id order; weights and labels carry
     over.
     """
-    mask = _check_vertices(g, s)
-    old_ids = tuple(iter_bits(mask))
-    remap = {old: new for new, old in enumerate(old_ids)}
-    adj = [0] * len(old_ids)
-    for new, old in enumerate(old_ids):
-        for u in iter_bits(g.adj[old] & mask):
-            adj[new] |= 1 << remap[u]
+    old_ids = list(iter_bits(_check_vertices(g, s)))
     sub = Graph._from_masks(
         len(old_ids),
-        adj,
+        _compress(g.adj, old_ids, old_ids),
         [g.weights[v] for v in old_ids],
         [g.label(v) for v in old_ids] if g.labels is not None else None,
     )
-    return sub, remap
+    return sub, {old: new for new, old in enumerate(old_ids)}
 
 
 def parse_dimacs(data: str | bytes) -> Graph:

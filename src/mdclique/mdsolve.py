@@ -31,11 +31,13 @@ class NodeSolution:
 
 @dataclass(frozen=True)
 class SolveInfo:
-    """Timing split and tree statistics for one solve run."""
+    """Timing split and tree statistics for one solve run. A plain run
+    builds no tree: its tree is None and its md_seconds and
+    prime_solver_calls are 0."""
 
     md_seconds: float
     solve_seconds: float
-    tree: MDTree
+    tree: MDTree | None
     prime_solver_calls: int
 
 
@@ -75,12 +77,17 @@ def solve_node(g: Graph, node: MDNode, config: SolverConfig = DEFAULT_CONFIG) ->
     return solved[node]
 
 
-def solve(g: Graph, config: SolverConfig = DEFAULT_CONFIG) -> tuple[Solution, SolveInfo]:
+def solve(g: Graph, config: SolverConfig = DEFAULT_CONFIG, *,
+          md: bool = True) -> tuple[Solution, SolveInfo]:
     """Decompose g, fold the tree, and return the whole-graph solution with
-    the decomposition and fold times reported separately."""
+    the decomposition and fold times reported separately. With md=False,
+    run plain branch and bound on the whole graph instead."""
     if g.n < 1:
         raise ValueError("cannot solve an empty graph")
     t0 = time.perf_counter()
+    if not md:
+        solution = max_weight_clique(g, config)
+        return solution, SolveInfo(0.0, time.perf_counter() - t0, None, 0)
     tree = decompose(g)
     t1 = time.perf_counter()
     root_solution = solve_node(g, tree.root, config)

@@ -19,13 +19,12 @@ and by a brute-force module enumerator in tests.
 """
 from __future__ import annotations
 
-import operator
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Iterator
 
-from .graph import Graph, iter_bits, vertex_mask
+from .graph import Graph, _compress, iter_bits, vertex_mask
 
 
 class NodeKind(Enum):
@@ -224,21 +223,6 @@ def _module_closure(adj: list[int], span: int, seed: int) -> int:
             break
         s |= grow
     return s
-
-
-def _compress(adj: list[int], rows: list[int], cols: list[int]) -> list[int]:
-    """The submatrix of adj on the given rows and columns: bit j of entry i
-    is bit cols[j] of adj[rows[i]].
-
-    Each row is formatted as a binary string of the graph's full width
-    len(adj) (rows hold bits beyond any one span) and its column
-    characters are gathered by one itemgetter, so a row costs a few
-    C-level passes instead of a Python loop over its bits.
-    """
-    n = len(adj)
-    get = operator.itemgetter(*[n - 1 - c for c in reversed(cols)])
-    width = f"0{n}b"
-    return [int("".join(get(format(adj[r], width))), 2) for r in rows]
 
 
 def _reaching_all(out: list[int], into: list[int]) -> int:
@@ -446,9 +430,11 @@ def verify_tree(g: Graph, t: MDTree) -> list[str]:
     if t.root.span != g.full_mask:
         report("root", f"span {t.root.span_vertices()} != V(G)")
 
-    stack = [(t.root, "root")]
+    # each node is checked as a module of its parent's span only: a module
+    # of a module of G is a module of G, and the root's parent is V(G)
+    stack = [(t.root, "root", g.full_mask)]
     while stack:
-        node, path = stack.pop()
+        node, path, parent_span = stack.pop()
         if node.is_leaf:
             if node.span != 1 << node.vertex:
                 report(path, "leaf span != {vertex}")
@@ -462,7 +448,7 @@ def verify_tree(g: Graph, t: MDTree) -> list[str]:
             union |= child.span
         if union != node.span:
             report(path, "children spans do not partition the span")
-        if not _is_module_mask(g.adj, g.full_mask, node.span):
+        if not _is_module_mask(g.adj, parent_span, node.span):
             report(path, "span is not a module of the graph")
         spans = [c.span for c in node.children]
         if node.kind is NodeKind.PARALLEL:
@@ -495,7 +481,7 @@ def verify_tree(g: Graph, t: MDTree) -> list[str]:
             if not _quotient_is_primitive(q.adj):
                 report(path, "prime node quotient has a nontrivial module")
         for i in reversed(range(len(node.children))):
-            stack.append((node.children[i], f"{path}.{i}"))
+            stack.append((node.children[i], f"{path}.{i}", node.span))
 
     leaves = vertex_mask(
         node.vertex for node in t.iter_nodes() if node.is_leaf

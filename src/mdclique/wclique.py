@@ -18,7 +18,7 @@ import time
 from dataclasses import dataclass
 from enum import Enum
 
-from .graph import Graph, Solution, SolveStatus, iter_bits
+from .graph import Graph, Solution, SolveStatus, _compress, iter_bits
 
 
 class Ordering(Enum):
@@ -106,23 +106,13 @@ class CliqueSearch:
         self.config = config
         alive = _dominance_survivors(g) if config.reduce_dominated else g.full_mask
         self.order = [v for v in order_vertices(g, config.ordering) if alive >> v & 1]
-        k = len(self.order)
-        pos = {v: idx for idx, v in enumerate(self.order)}
         # adjacency and weights reindexed into order space: bit b of
         # _radj[i] means order[i] ~ order[b], so the lowest set bit of a
         # candidate mask is the earliest order position in it
-        self._radj = [0] * k
-        self._rw = [0] * k
-        for idx, v in enumerate(self.order):
-            self._rw[idx] = g.weights[v]
-            mask = 0
-            for u in iter_bits(g.adj[v] & alive):
-                mask |= 1 << pos[u]
-            self._radj[idx] = mask
-        self.suffix_best = [0] * k
+        self._radj = _compress(g.adj, self.order, self.order)
+        self._rw = [g.weights[v] for v in self.order]
+        self.suffix_best = [0] * len(self.order)
         self.nodes = 0
-        self._best_weight = 0
-        self._best_mask = 0
 
     def run(self) -> Solution:
         n = len(self.order)
@@ -201,8 +191,6 @@ class CliqueSearch:
         except _Deadline:
             status = SolveStatus.TIMED_OUT
         self.nodes = nodes
-        self._best_weight = best_weight
-        self._best_mask = best_mask
         vertices = tuple(sorted(self.order[k] for k in iter_bits(best_mask)))
         return Solution(vertices, best_weight, status)
 

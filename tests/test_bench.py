@@ -137,6 +137,16 @@ class TestBenchCommand:
         assert "ERROR" in out
         assert "hub7" in out
 
+    def test_empty_graph_gives_error_rows(self, instance_dir, tmp_path, capsys):
+        empty = tmp_path / "empty.clq"
+        empty.write_text("p edge 0 0\n")
+        rc = main(["bench", str(empty), str(instance_dir / "hub7.clq")])
+        lines = capsys.readouterr().out.strip().split("\n")
+        assert rc == 1
+        assert [line.split(",")[3:6:2] for line in lines[1:]] == [
+            ["MD", "ERROR"], ["Plain", "ERROR"], ["MD", "Optimal"], ["Plain", "Optimal"],
+        ]
+
     def test_unknown_mode_rejected(self, instance_dir, capsys):
         rc = main(["bench", str(instance_dir / "hub7.clq"), "--modes", "turbo"])
         assert rc == 1

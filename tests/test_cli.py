@@ -17,6 +17,13 @@ def hub7_path(tmp_path: Path) -> Path:
     return path
 
 
+@pytest.fixture
+def empty_path(tmp_path: Path) -> Path:
+    path = tmp_path / "empty.clq"
+    path.write_text("p edge 0 0\n")
+    return path
+
+
 class TestSolveCommand:
     def test_md_mode(self, hub7_path, capsys):
         rc = main(["solve", str(hub7_path), "--md"])
@@ -67,6 +74,14 @@ class TestSolveCommand:
         assert rc == 1
         assert "line 1: vertex count" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("mode", ["--md", "--plain"])
+    def test_empty_graph_rejected(self, empty_path, mode, capsys):
+        rc = main(["solve", str(empty_path), mode])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.out == ""
+        assert captured.err == f"error: {empty_path}: graph has no vertices\n"
+
     def test_timeout_exit_code(self, tmp_path, capsys):
         path = tmp_path / "coprime500.clq"
         path.write_text(write_dimacs(coprime_graph(500)))
@@ -94,6 +109,11 @@ class TestMdCommand:
         rc = main(["md", str(hub7_path), "--verify"])
         assert rc == 0
         assert "verify: OK" in capsys.readouterr().out
+
+    def test_empty_graph_rejected(self, empty_path, capsys):
+        rc = main(["md", str(empty_path), "--verify"])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {empty_path}: graph has no vertices\n"
 
     def test_k5(self, tmp_path, capsys):
         path = tmp_path / "k5.clq"

@@ -16,7 +16,7 @@ from mdclique import (
     set_weight,
     write_dimacs,
 )
-from mdclique.graph import MAX_VERTICES
+from mdclique.graph import MAX_VERTICES, _compress
 
 TRIANGLE = "p edge 3 3\ne 1 2\ne 2 3\ne 1 3\n"
 
@@ -240,6 +240,36 @@ class TestCliquePredicates:
             assert set_weight(hub7, picks) == set_weight(hub7, left) + set_weight(
                 hub7, right
             )
+
+
+class TestCompress:
+    @staticmethod
+    def reference(adj, rows, cols):
+        out = []
+        for r in rows:
+            mask = 0
+            for j, c in enumerate(cols):
+                if adj[r] >> c & 1:
+                    mask |= 1 << j
+            out.append(mask)
+        return out
+
+    def test_matches_bitwise_reference(self):
+        rng = random.Random(41)
+        for _ in range(300):
+            n = rng.randint(1, 70)
+            adj = [rng.getrandbits(n) for _ in range(n)]
+            rows = [rng.randrange(n) for _ in range(rng.randint(0, n))]
+            cols = rng.sample(range(n), rng.randint(0, n))
+            assert _compress(adj, rows, cols) == self.reference(adj, rows, cols)
+
+    def test_edge_shapes(self):
+        adj = [0b1011, 0b0110, 0b1111, 0b0001]
+        assert _compress(adj, [], [0, 1]) == []
+        assert _compress(adj, [0, 1, 2], []) == [0, 0, 0]
+        assert _compress(adj, [0, 1, 2, 3], [1]) == [1, 1, 1, 0]
+        assert _compress(adj, [2, 0], [3, 0, 2]) == [0b111, 0b011]
+        assert _compress([], [], []) == []
 
 
 class TestInducedSubgraph:

@@ -8,6 +8,7 @@ import pytest
 from mdclique import (
     Graph,
     NodeKind,
+    Ordering,
     SolveStatus,
     SolverConfig,
     brute_force_clique,
@@ -126,6 +127,17 @@ class TestSolve:
     def test_empty_graph_rejected(self):
         with pytest.raises(ValueError):
             solve(Graph(0))
+        with pytest.raises(ValueError):
+            solve(Graph(0), md=False)
+
+    @pytest.mark.parametrize("g", [coprime_graph(60), gnp(40, 0.5, seed=3),
+                                   weighted_gnp(30, 0.6, seed=4)])
+    def test_plain_mode_is_max_weight_clique(self, g):
+        config = SolverConfig(ordering=Ordering.WEIGHT_DESC)
+        sol, info = solve(g, config, md=False)
+        assert sol == max_weight_clique(g, config)
+        assert info.md_seconds == 0.0 and info.solve_seconds >= 0
+        assert info.tree is None and info.prime_solver_calls == 0
 
     def test_cographs_use_zero_prime_solves(self):
         for seed in range(5):
@@ -182,8 +194,6 @@ class TestFoldCheck:
         assert fold_check(hub7, decompose(hub7))
 
     def test_random_cographs(self):
-        from mdclique import Ordering
-
         rng = random.Random(311)
         for _ in range(100):
             g = random_cograph(rng.randint(1, 200), rng.randint(0, 10**6))

@@ -327,6 +327,25 @@ class TestVerifyTree:
             )
             assert verify_tree(g, t) == ["root: prime node quotient has a nontrivial module"]
 
+    def test_non_module_inside_a_module_reported(self):
+        # P4 0-1-2-3 joined to vertex 4: {0..3} is a module of the graph,
+        # but {0, 1} is not a module even within it (2 sees 1, not 0)
+        g = Graph(5, [(0, 1), (1, 2), (2, 3)] + [(v, 4) for v in range(4)])
+        leaf = [MDNode(NodeKind.LEAF, vertex=v) for v in range(5)]
+        t = MDTree(
+            root=MDNode(NodeKind.SERIES, children=(
+                MDNode(NodeKind.PRIME, children=(
+                    MDNode(NodeKind.SERIES, children=(leaf[0], leaf[1])), leaf[2], leaf[3],
+                )),
+                leaf[4],
+            )),
+            graph=g,
+        )
+        problems = verify_tree(g, t)
+        assert "root.0.0: span is not a module of the graph" in problems
+        assert not any(p.startswith("root.0:") and "module of the graph" in p
+                       for p in problems)
+
     def test_coprime_1200_verifies(self):
         # a prime node of 642 children: one closure per pair would take minutes
         g = coprime_graph(1200)
