@@ -25,10 +25,13 @@ def _fail(message: str) -> int:
 
 def cmd_solve(args: argparse.Namespace) -> int:
     try:
+        config = SolverConfig(time_limit=args.time_limit, ordering=_ORDERINGS[args.ordering])
+    except ValueError as exc:
+        return _fail(str(exc))
+    try:
         g = bench_mod.load_instance(args.path)
     except (OSError, ValueError) as exc:
         return _fail(f"{args.path}: {exc}")
-    config = SolverConfig(time_limit=args.time_limit, ordering=_ORDERINGS[args.ordering])
     solution, info = solve(g, config, md=not args.plain)
     md_s, solve_s = info.md_seconds, info.solve_seconds
     print(f"instance: {args.path}")
@@ -85,6 +88,12 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
+    # run_bench builds the config itself; a bad limit is checked here so
+    # that it ends as one error line instead of a traceback
+    try:
+        SolverConfig(time_limit=args.time_limit)
+    except ValueError as exc:
+        return _fail(str(exc))
     requested = set()
     for mode in args.modes.split(","):
         mode = mode.strip().lower()

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, replace
+from itertools import chain
 
 from .graph import Graph, Solution, SolveStatus
 from .mdtree import MDNode, MDTree, NodeKind, decompose, quotient
@@ -42,8 +43,8 @@ class SolveInfo:
 
 
 def solve_node(g: Graph, node: MDNode, config: SolverConfig = DEFAULT_CONFIG) -> NodeSolution:
-    """Best clique within `node`'s span. The config's time limit applies to
-    each prime-node quotient solve separately."""
+    """Best clique within `node`'s span, its vertices sorted. The config's
+    time limit applies to each prime-node quotient solve separately."""
     # quotient solves always run with the dominance reduction on: it is
     # sound for any instance and it is what lets prime quotients with
     # heavy twin-like structure (e.g. the coprime family) close quickly
@@ -51,7 +52,9 @@ def solve_node(g: Graph, node: MDNode, config: SolverConfig = DEFAULT_CONFIG) ->
     order = [node]
     for parent in order:
         order.extend(parent.children)
-    # reversed breadth-first order puts every child before its parent
+    # reversed breadth-first order puts every child before its parent;
+    # inner nodes concatenate child cliques unsorted and only the returned
+    # clique is sorted, since sorting at every level is quadratic on deep trees
     solved: dict[MDNode, NodeSolution] = {}
     for current in reversed(order):
         if current.is_leaf:
@@ -65,16 +68,17 @@ def solve_node(g: Graph, node: MDNode, config: SolverConfig = DEFAULT_CONFIG) ->
             weight, vertices = best.weight, best.vertices
         elif current.kind is NodeKind.SERIES:
             weight = sum(part.weight for part in parts)
-            vertices = tuple(sorted(v for part in parts for v in part.vertices))
+            vertices = tuple(chain.from_iterable(part.vertices for part in parts))
         else:
             q = quotient(g, current, [part.weight for part in parts])
             picked = max_weight_clique(q.graph, prime_config)
             timed_out = timed_out or picked.status is SolveStatus.TIMED_OUT
             weight = picked.weight
-            vertices = tuple(sorted(v for qv in picked.vertices for v in parts[qv].vertices))
+            vertices = tuple(chain.from_iterable(parts[qv].vertices for qv in picked.vertices))
         status = SolveStatus.TIMED_OUT if timed_out else SolveStatus.OPTIMAL
         solved[current] = NodeSolution(current, weight, vertices, status)
-    return solved[node]
+    found = solved[node]
+    return replace(found, vertices=tuple(sorted(found.vertices)))
 
 
 def solve(g: Graph, config: SolverConfig = DEFAULT_CONFIG, *,

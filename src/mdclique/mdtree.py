@@ -12,10 +12,21 @@ node's children, the maximal proper modules. Those come from partition
 refinement around a pivot, M(G, v), and reachability in the forcing graph
 of the quotient G/M(G, v) (Ehrenfeucht, Gabow, McConnell and Sullivan,
 J. Algorithms 1994). Spans wait on an explicit stack, so no tree depth
-meets the interpreter's recursion limit. It is not linear-time, but it is
-bitmask-fast in practice; the tree is validated by `verify_tree`, whose
-primality check uses plain module closures instead of the forcing graph,
-and by a brute-force module enumerator in tests.
+meets the interpreter's recursion limit.
+
+Deep trees (threshold graphs reach depth n - 1) stay cheap because no
+level rescans its whole span. Every search is direction-optimising
+(Beamer et al., SC 2012): each round ORs the rows of the frontier or
+sweeps the still-unreached vertices, whichever set is smaller, so peeling
+one vertex off a large span costs about the small side. Each later
+component is searched only inside the still-unassigned rest. A span also
+knows its parent's kind: a child of a Parallel node is connected and a
+child of a Series node is co-connected, so that search is skipped.
+
+It is not linear-time, but it is bitmask-fast in practice; the tree is
+validated by `verify_tree`, whose primality check uses plain module
+closures instead of the forcing graph, and by a brute-force module
+enumerator in tests.
 """
 from __future__ import annotations
 
@@ -138,26 +149,47 @@ def _is_module_mask(adj: list[int], universe: int, mask: int) -> bool:
     return True
 
 
-def _reach(rows: list[int], start: int, within: int, flip: int = 0) -> int:
+def _reach(rows: list[int], start: int, within: int, flip: int = 0,
+           back: list[int] | None = None) -> int:
     """Vertices of `within` reachable from the start mask, where the
-    out-neighbours of vertex v are rows[v] ^ flip."""
+    out-neighbours of vertex v are rows[v] ^ flip and its in-neighbours
+    back[v] ^ flip (back defaults to rows, for a symmetric graph).
+
+    Direction-optimising breadth-first search (Beamer, Asanovic and
+    Patterson, SC 2012): each round works on the smaller of the frontier
+    and the unreached rest of `within`. Top-down ORs the frontier's rows;
+    bottom-up keeps each unreached vertex with an in-neighbour already
+    reached. The search stops once nothing in `within` is unreached.
+    """
+    if back is None:
+        back = rows
     reached = frontier = start
-    while frontier:
-        nxt = 0
-        for v in iter_bits(frontier):
-            nxt |= rows[v] ^ flip
-        frontier = nxt & within & ~reached
+    unreached = within & ~start
+    while frontier and unreached:
+        if frontier.bit_count() <= unreached.bit_count():
+            nxt = 0
+            for v in iter_bits(frontier):
+                nxt |= rows[v] ^ flip
+            frontier = nxt & unreached
+        else:
+            frontier = 0
+            for u in iter_bits(unreached):
+                if (back[u] ^ flip) & reached:
+                    frontier |= 1 << u
         reached |= frontier
+        unreached ^= frontier
     return reached
 
 
 def _components(adj: list[int], span: int, flip: int) -> list[int]:
     """Connected components of the subgraph induced by span, as masks; with
-    flip = span, those of its complement (each row is XORed with flip)."""
+    flip = span, those of its complement (each row is XORed with flip).
+    No edge leaves a finished component, so each later search runs inside
+    the still-unassigned rest only."""
     comps = []
     rest = span
     while rest:
-        comp = _reach(adj, rest & -rest, span, flip)
+        comp = _reach(adj, rest & -rest, rest, flip)
         comps.append(comp)
         rest &= ~comp
     return comps
@@ -249,9 +281,9 @@ def _reaching_all(out: list[int], into: list[int]) -> int:
                 stack.append(low.bit_length() - 1)
             else:
                 last = stack.pop()
-    if _reach(out, 1 << last, full) != full:
+    if _reach(out, 1 << last, full, back=into) != full:
         return 0
-    return _reach(into, 1 << last, full)
+    return _reach(into, 1 << last, full, back=out)
 
 
 def _prime_children(adj: list[int], span: int) -> list[int]:
@@ -289,26 +321,35 @@ def _prime_children(adj: list[int], span: int) -> list[int]:
     return children
 
 
-def _split(adj: list[int], span: int) -> tuple[NodeKind, list[int]]:
-    """Kind and child spans of the node over a span of >= 2 vertices."""
-    comps = _components(adj, span, 0)
-    if len(comps) > 1:
-        return NodeKind.PARALLEL, comps
-    cocomps = _components(adj, span, span)
-    if len(cocomps) > 1:
-        return NodeKind.SERIES, cocomps
+def _split(adj: list[int], span: int,
+           parent: NodeKind | None) -> tuple[NodeKind, list[int]]:
+    """Kind and child spans of the node over a span of >= 2 vertices whose
+    parent node has kind `parent` (None at the root). A child of a Parallel
+    node is connected and a child of a Series node is co-connected, so
+    those searches are skipped."""
+    if parent is not NodeKind.PARALLEL:
+        comps = _components(adj, span, 0)
+        if len(comps) > 1:
+            return NodeKind.PARALLEL, comps
+    if parent is not NodeKind.SERIES:
+        cocomps = _components(adj, span, span)
+        if len(cocomps) > 1:
+            return NodeKind.SERIES, cocomps
     return NodeKind.PRIME, _prime_children(adj, span)
 
 
 def _decompose_span(adj: list[int], span: int) -> MDNode:
     """Tree of the span-induced subgraph. Each stack frame is an internal
-    node under construction: (kind, built children, pending child spans)."""
+    node under construction: (kind, built children, pending child spans);
+    `parent` is the kind of the frame the current span was popped from."""
     stack: list[tuple[NodeKind, list[MDNode], list[int]]] = []
+    parent = None
     while True:
         if span & (span - 1):
-            kind, pending = _split(adj, span)
+            kind, pending = _split(adj, span, parent)
             stack.append((kind, [], pending))
             span = pending.pop()
+            parent = kind
             continue
         node = MDNode(NodeKind.LEAF, vertex=span.bit_length() - 1)
         # hand the finished node to its parent, closing every frame that
@@ -318,6 +359,7 @@ def _decompose_span(adj: list[int], span: int) -> MDNode:
             built.append(node)
             if pending:
                 span = pending.pop()
+                parent = kind
                 break
             stack.pop()
             built.sort(key=lambda c: c.span & -c.span)

@@ -43,8 +43,9 @@ class SolverConfig:
     reduce_dominated: bool = False
 
     def __post_init__(self):
-        if self.time_limit < 0:
-            raise ValueError("time_limit must be >= 0")
+        # written so that NaN, which compares false both ways, is rejected
+        if not self.time_limit >= 0:
+            raise ValueError(f"time limit must be >= 0, got {self.time_limit}")
 
 
 DEFAULT_CONFIG = SolverConfig()

@@ -34,3 +34,12 @@ def weighted_gnp(n: int, p: float, seed: int, max_weight: int = 10) -> Graph:
     base = gnp(n, p, seed)
     rng = random.Random(seed ^ 0x5EED)
     return Graph(n, list(base.edges()), [rng.randint(1, max_weight) for _ in range(n)])
+
+
+def alternating_threshold(n: int) -> Graph:
+    """Threshold graph where vertex v is joined to every earlier vertex iff
+    v is odd: its tree is a Series/Parallel chain of depth n - 1, and its
+    best clique is vertex 0 plus every odd vertex."""
+    odd = sum(1 << v for v in range(1, n, 2))
+    adj = [odd >> (v + 1) << (v + 1) | ((1 << v) - 1 if v % 2 else 0) for v in range(n)]
+    return Graph.from_adjacency(n, adj)

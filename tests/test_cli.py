@@ -95,6 +95,17 @@ class TestSolveCommand:
         assert "clique weight: 4" in capsys.readouterr().out
 
 
+class TestTimeLimitFlag:
+    @pytest.mark.parametrize("command", ["solve", "bench"])
+    @pytest.mark.parametrize("limit", ["-1", "nan"])
+    def test_invalid_limit_is_one_error_line(self, hub7_path, command, limit, capsys):
+        rc = main([command, str(hub7_path), "--time-limit", limit])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.out == ""
+        assert captured.err == f"error: time limit must be >= 0, got {float(limit)}\n"
+
+
 class TestMdCommand:
     def test_tree_and_stats(self, hub7_path, capsys):
         rc = main(["md", str(hub7_path)])

@@ -25,7 +25,7 @@ from mdclique import (
     solve_node,
     verify_tree,
 )
-from conftest import weighted_gnp
+from conftest import alternating_threshold, weighted_gnp
 
 
 class TestSolveNode:
@@ -157,13 +157,8 @@ class TestSolve:
         assert set_weight(g, sol.vertices) == sol.weight
 
     def test_deep_tree_within_default_recursion_limit(self):
-        # alternating threshold graph: vertex v is joined to every earlier
-        # vertex iff v is odd, so the tree is a Series/Parallel chain of
-        # depth n - 1; its best clique is vertex 0 plus every odd vertex
         n = 1500
-        odd = sum(1 << v for v in range(1, n, 2))
-        adj = [odd >> (v + 1) << (v + 1) | ((1 << v) - 1 if v % 2 else 0) for v in range(n)]
-        g = Graph.from_adjacency(n, adj)
+        g = alternating_threshold(n)
         old_limit = sys.getrecursionlimit()
         sys.setrecursionlimit(1000)
         try:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from collections import deque
 
 import pytest
 
@@ -15,9 +16,12 @@ from mdclique import (
     gnp,
     is_module,
     quotient,
+    solve,
     verify_tree,
 )
 from mdclique.graph import iter_bits, vertex_mask
+from mdclique.mdtree import _components, _reach
+from conftest import alternating_threshold
 
 HUB7_TREE = "Prime[Series[a,b,c],d,Parallel[e,f],g]"
 # canonical decomposition of the coprime graph on 1..8: vertices 1, 5 and 7
@@ -135,6 +139,28 @@ def unlabeled_shape(node: MDNode) -> str:
         return "."
     inner = ",".join(sorted(unlabeled_shape(c) for c in node.children))
     return f"{node.kind.value}[{inner}]"
+
+
+def reference_reach(out: list[int], start: int, within: int) -> int:
+    """Plain breadth-first search over explicit out-neighbour masks: the
+    start mask plus every vertex of `within` reachable through `within`."""
+    seen = set(iter_bits(start))
+    queue = deque(seen)
+    while queue:
+        for u in iter_bits(out[queue.popleft()] & within):
+            if u not in seen:
+                seen.add(u)
+                queue.append(u)
+    return vertex_mask(seen)
+
+
+def random_rows(rng: random.Random, n: int, p: float) -> list[int]:
+    """Out-neighbour masks of a random loop-free digraph."""
+    return [vertex_mask(u for u in range(n) if u != v and rng.random() < p) for v in range(n)]
+
+
+def random_subset(rng: random.Random, n: int) -> int:
+    return vertex_mask(v for v in range(n) if rng.random() < 0.7)
 
 
 class TestIsModule:
@@ -266,6 +292,60 @@ class TestDecompose:
                 for child in node.children:
                     if node.kind in (NodeKind.PARALLEL, NodeKind.SERIES):
                         assert child.kind is not node.kind
+
+
+class TestSearchKernels:
+    def test_reach_on_digraphs_with_transpose(self):
+        rng = random.Random(61)
+        for _ in range(300):
+            n = rng.randint(1, 40)
+            rows = random_rows(rng, n, rng.choice([0.02, 0.05, 0.1, 0.3, 0.6]))
+            into = [vertex_mask(u for u in range(n) if rows[u] >> v & 1) for v in range(n)]
+            within = random_subset(rng, n) | 1 << rng.randrange(n)
+            start = 1 << rng.choice(list(iter_bits(within)))
+            if rng.random() < 0.3:
+                start |= within & random_subset(rng, n)
+            expected = reference_reach(rows, start, within)
+            assert _reach(rows, start, within, back=into) == expected
+            transposed = reference_reach(into, start, within)
+            assert _reach(into, start, within, back=rows) == transposed
+
+    def test_reach_on_symmetric_graphs_both_flips(self):
+        rng = random.Random(62)
+        for _ in range(300):
+            n = rng.randint(1, 40)
+            adj = gnp(n, rng.choice([0.03, 0.1, 0.3, 0.7, 0.95]), seed=rng.randrange(10**9)).adj
+            within = random_subset(rng, n) | 1 << rng.randrange(n)
+            start = 1 << rng.choice(list(iter_bits(within)))
+            for flip in (0, within):
+                expected = reference_reach([row ^ flip for row in adj], start, within)
+                assert _reach(adj, start, within, flip) == expected
+
+    def test_components_both_flips(self):
+        rng = random.Random(63)
+        for _ in range(300):
+            n = rng.randint(1, 40)
+            adj = gnp(n, rng.choice([0.02, 0.05, 0.1, 0.5, 0.9, 0.97]), seed=rng.randrange(10**9)).adj
+            span = random_subset(rng, n) | 1 << rng.randrange(n)
+            for flip in (0, span):
+                rows = [row ^ flip for row in adj]
+                expected = []
+                rest = span
+                while rest:
+                    comp = reference_reach(rows, rest & -rest, span)
+                    expected.append(comp)
+                    rest &= ~comp
+                assert _components(adj, span, flip) == expected
+
+    def test_deep_alternating_threshold(self):
+        n = 3000
+        g = alternating_threshold(n)
+        t = decompose(g)
+        assert verify_tree(g, t) == []
+        assert t.depth() == n - 1
+        sol, _ = solve(g)
+        assert sol.weight == n // 2 + 1
+        assert sol.vertices == (0, *range(1, n, 2))
 
 
 class TestVerifyTree:

@@ -155,6 +155,8 @@ class TestTimeout:
     def test_negative_limit_rejected(self):
         with pytest.raises(ValueError):
             SolverConfig(time_limit=-1.0)
+        with pytest.raises(ValueError):
+            SolverConfig(time_limit=float("nan"))
 
 
 class TestBruteForce:
