@@ -16,7 +16,6 @@ from .mdtree import (
     MDNode,
     MDTree,
     NodeKind,
-    QuotientGraph,
     decompose,
     enumerate_modules_bruteforce,
     is_module,
@@ -31,7 +30,7 @@ from .wclique import (
     max_weight_clique,
     order_vertices,
 )
-from .mdsolve import NodeSolution, SolveInfo, fold_check, solve, solve_node
+from .mdsolve import SolveInfo, solve, solve_node
 from .generators import coprime_graph, gnp, random_cograph, random_partition
 from .bench import BenchRecord, bench_graph, records_to_csv, run_bench
 
@@ -44,9 +43,7 @@ __all__ = [
     "MDNode",
     "MDTree",
     "NodeKind",
-    "NodeSolution",
     "Ordering",
-    "QuotientGraph",
     "Solution",
     "SolveInfo",
     "SolveStatus",
@@ -56,7 +53,6 @@ __all__ = [
     "coprime_graph",
     "decompose",
     "enumerate_modules_bruteforce",
-    "fold_check",
     "gnp",
     "induced_subgraph",
     "is_clique",

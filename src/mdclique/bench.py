@@ -11,7 +11,7 @@ from typing import Iterable
 
 from .graph import Graph, is_clique, parse_dimacs, set_weight
 from .mdsolve import solve
-from .wclique import Ordering, SolverConfig
+from .wclique import SolverConfig
 
 MODE_MD = "MD"
 MODE_PLAIN = "Plain"
@@ -100,12 +100,10 @@ def expand_paths(paths: Iterable[str | Path]) -> list[Path]:
 
 
 def run_bench(paths: Iterable[str | Path], modes: list[str],
-              time_limit: float = 300.0,
-              ordering: Ordering = Ordering.DEGREE_DESC) -> list[BenchRecord]:
+              config: SolverConfig) -> list[BenchRecord]:
     """One record per (instance, mode), instances in input order, MD before
     Plain. A file that fails to load, or holds no vertex, yields ERROR
     rows and processing continues."""
-    config = SolverConfig(time_limit=time_limit, ordering=ordering)
     records: list[BenchRecord] = []
     for path in expand_paths(paths):
         name = path.stem

@@ -88,10 +88,8 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    # run_bench builds the config itself; a bad limit is checked here so
-    # that it ends as one error line instead of a traceback
     try:
-        SolverConfig(time_limit=args.time_limit)
+        config = SolverConfig(time_limit=args.time_limit)
     except ValueError as exc:
         return _fail(str(exc))
     requested = set()
@@ -105,7 +103,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
             return _fail(f"unknown mode {mode!r} (expected md and/or plain)")
     # per-instance row order is always MD first
     modes = [m for m in (bench_mod.MODE_MD, bench_mod.MODE_PLAIN) if m in requested]
-    records = bench_mod.run_bench(args.paths, modes, time_limit=args.time_limit)
+    records = bench_mod.run_bench(args.paths, modes, config)
     text = bench_mod.records_to_csv(records)
     if args.output:
         Path(args.output).write_text(text)

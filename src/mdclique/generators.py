@@ -8,14 +8,22 @@ from __future__ import annotations
 import math
 import random
 
-from .graph import Graph
+from .graph import MAX_VERTICES, Graph
+
+
+def _check_n(n: int, least: int) -> None:
+    """Reject a vertex count below `least`, or one that parse_dimacs would
+    refuse, before any work is done."""
+    if n < least:
+        raise ValueError(f"n must be >= {least}")
+    if n > MAX_VERTICES:
+        raise ValueError(f"n={n} exceeds the limit of {MAX_VERTICES} vertices")
 
 
 def coprime_graph(n: int) -> Graph:
     """Graph on vertices labelled 1..n with an edge wherever the labels are
     coprime (gcd = 1); unit weights. Vertex id k carries label k+1."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    _check_n(n, 1)
     adj = [0] * n
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
@@ -57,8 +65,7 @@ def random_cograph(n: int, seed: int) -> Graph:
     pre-order from an explicit stack, so the draws per block come in the
     order of the recursive definition: partition first, then the
     union/join coin, then the parts left to right."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    _check_n(n, 1)
     rng = random.Random(seed)
     adj = [0] * n
     stack = [(0, n)]
@@ -83,8 +90,7 @@ def random_cograph(n: int, seed: int) -> Graph:
 
 def gnp(n: int, p: float, seed: int) -> Graph:
     """Erdos-Renyi G(n, p), unit weights; pairs scanned in row order."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
+    _check_n(n, 0)
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must be in [0, 1]")
     rng = random.Random(seed)

@@ -12,22 +12,11 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, replace
 from itertools import chain
+from operator import itemgetter
 
 from .graph import Graph, Solution, SolveStatus
 from .mdtree import MDNode, MDTree, NodeKind, decompose, quotient
 from .wclique import DEFAULT_CONFIG, SolverConfig, max_weight_clique
-
-
-@dataclass(frozen=True)
-class NodeSolution:
-    """Best clique within one tree node's span, in original vertex ids.
-    status is TIMED_OUT when any prime solve in the node's own subtree hit
-    its limit (the weight is then a valid lower bound)."""
-
-    node: MDNode
-    weight: int
-    vertices: tuple[int, ...]
-    status: SolveStatus
 
 
 @dataclass(frozen=True)
@@ -42,9 +31,11 @@ class SolveInfo:
     prime_solver_calls: int
 
 
-def solve_node(g: Graph, node: MDNode, config: SolverConfig = DEFAULT_CONFIG) -> NodeSolution:
+def solve_node(g: Graph, node: MDNode, config: SolverConfig = DEFAULT_CONFIG) -> Solution:
     """Best clique within `node`'s span, its vertices sorted. The config's
-    time limit applies to each prime-node quotient solve separately."""
+    time limit applies to each prime-node quotient solve separately; the
+    status is TIMED_OUT when any of them hit it (the weight is then a valid
+    lower bound)."""
     # quotient solves always run with the dominance reduction on: it is
     # sound for any instance and it is what lets prime quotients with
     # heavy twin-like structure (e.g. the coprime family) close quickly
@@ -55,30 +46,28 @@ def solve_node(g: Graph, node: MDNode, config: SolverConfig = DEFAULT_CONFIG) ->
     # reversed breadth-first order puts every child before its parent;
     # inner nodes concatenate child cliques unsorted and only the returned
     # clique is sorted, since sorting at every level is quadratic on deep trees
-    solved: dict[MDNode, NodeSolution] = {}
+    solved: dict[MDNode, tuple[int, tuple[int, ...]]] = {}
+    timed_out = False
     for current in reversed(order):
         if current.is_leaf:
             v = current.vertex
-            solved[current] = NodeSolution(current, g.weights[v], (v,), SolveStatus.OPTIMAL)
+            solved[current] = (g.weights[v], (v,))
             continue
         parts = [solved.pop(child) for child in current.children]
-        timed_out = any(part.status is SolveStatus.TIMED_OUT for part in parts)
         if current.kind is NodeKind.PARALLEL:
-            best = max(parts, key=lambda part: part.weight)
-            weight, vertices = best.weight, best.vertices
+            solved[current] = max(parts, key=itemgetter(0))
         elif current.kind is NodeKind.SERIES:
-            weight = sum(part.weight for part in parts)
-            vertices = tuple(chain.from_iterable(part.vertices for part in parts))
+            solved[current] = (sum(weight for weight, _ in parts),
+                               tuple(chain.from_iterable(vertices for _, vertices in parts)))
         else:
-            q = quotient(g, current, [part.weight for part in parts])
-            picked = max_weight_clique(q.graph, prime_config)
+            q = quotient(g, current, [weight for weight, _ in parts])
+            picked = max_weight_clique(q, prime_config)
             timed_out = timed_out or picked.status is SolveStatus.TIMED_OUT
-            weight = picked.weight
-            vertices = tuple(chain.from_iterable(parts[qv].vertices for qv in picked.vertices))
-        status = SolveStatus.TIMED_OUT if timed_out else SolveStatus.OPTIMAL
-        solved[current] = NodeSolution(current, weight, vertices, status)
-    found = solved[node]
-    return replace(found, vertices=tuple(sorted(found.vertices)))
+            solved[current] = (picked.weight,
+                               tuple(chain.from_iterable(parts[qv][1] for qv in picked.vertices)))
+    weight, vertices = solved[node]
+    status = SolveStatus.TIMED_OUT if timed_out else SolveStatus.OPTIMAL
+    return Solution(tuple(sorted(vertices)), weight, status)
 
 
 def solve(g: Graph, config: SolverConfig = DEFAULT_CONFIG, *,
@@ -94,9 +83,8 @@ def solve(g: Graph, config: SolverConfig = DEFAULT_CONFIG, *,
         return solution, SolveInfo(0.0, time.perf_counter() - t0, None, 0)
     tree = decompose(g)
     t1 = time.perf_counter()
-    root_solution = solve_node(g, tree.root, config)
+    solution = solve_node(g, tree.root, config)
     t2 = time.perf_counter()
-    solution = Solution(root_solution.vertices, root_solution.weight, root_solution.status)
     info = SolveInfo(
         md_seconds=t1 - t0,
         solve_seconds=t2 - t1,
@@ -105,14 +93,3 @@ def solve(g: Graph, config: SolverConfig = DEFAULT_CONFIG, *,
         prime_solver_calls=tree.kind_counts()["prime"],
     )
     return solution, info
-
-
-def fold_check(g: Graph, tree: MDTree | None = None,
-               config: SolverConfig = DEFAULT_CONFIG) -> bool:
-    """True iff the tree fold and the flat branch-and-bound solver agree on
-    the maximum clique weight of g."""
-    if tree is None:
-        tree = decompose(g)
-    folded = solve_node(g, tree.root, config)
-    flat = max_weight_clique(g, config)
-    return folded.weight == flat.weight

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Iterator
 
-from .graph import Graph, _compress, iter_bits, vertex_mask
+from .graph import Graph, _check_vertices, _compress, iter_bits, vertex_mask
 
 
 class NodeKind(Enum):
@@ -133,11 +133,9 @@ class MDTree:
 
 def is_module(g: Graph, s: Iterable[int]) -> bool:
     """True iff every vertex outside s is adjacent to all of s or none of s."""
-    mask = vertex_mask(s)
+    mask = _check_vertices(g, s)
     if mask == 0:
         raise ValueError("a module must be nonempty")
-    if mask & ~g.full_mask:
-        raise ValueError("vertex out of range")
     return _is_module_mask(g.adj, g.full_mask, mask)
 
 
@@ -380,25 +378,11 @@ def decompose(g: Graph) -> MDTree:
     return MDTree(root=_decompose_span(g.adj, g.full_mask), graph=g)
 
 
-@dataclass(frozen=True)
-class QuotientGraph:
-    """Weighted graph on an internal node's children. Quotient vertex i maps
-    back to `back_map[i]`; two quotient vertices are adjacent iff any (hence
-    every) pair of their spans' vertices is adjacent in the original graph."""
-
-    graph: Graph
-    back_map: tuple[MDNode, ...]
-
-
-def _joined_label(g: Graph, span: int) -> str:
-    labels = [g.label(v) for v in iter_bits(span)]
-    if all(len(p) == 1 for p in labels):
-        return "".join(labels)
-    return "+".join(labels)
-
-
-def quotient(g: Graph, node: MDNode, child_weights: list[int]) -> QuotientGraph:
-    """Quotient of an internal node with the given per-child weights.
+def quotient(g: Graph, node: MDNode, child_weights: list[int]) -> Graph:
+    """Quotient of an internal node with the given per-child weights:
+    quotient vertex i is node.children[i], and two quotient vertices are
+    adjacent iff any (hence every) pair of their spans' vertices is
+    adjacent in g.
 
     Adjacency is decided by one representative per child (valid because the
     children are modules).
@@ -408,19 +392,11 @@ def quotient(g: Graph, node: MDNode, child_weights: list[int]) -> QuotientGraph:
     k = len(node.children)
     if len(child_weights) != k:
         raise ValueError(f"expected {k} child weights, got {len(child_weights)}")
-    for i, w in enumerate(child_weights):
-        if w < 1:
-            raise ValueError(f"child weight {i} must be >= 1")
     reps = [(c.span & -c.span).bit_length() - 1 for c in node.children]
     # a symmetric submatrix of the symmetric, loop-free adjacency is itself
-    # symmetric and loop-free, so the trusted constructor applies
-    q = Graph._from_masks(
-        k,
-        _compress(g.adj, reps, reps),
-        list(child_weights),
-        [_joined_label(g, c.span) for c in node.children],
-    )
-    return QuotientGraph(graph=q, back_map=tuple(node.children))
+    # symmetric and loop-free, so the trusted constructor applies; it still
+    # checks that every weight is a positive integer
+    return Graph._from_masks(k, _compress(g.adj, reps, reps), child_weights)
 
 
 def enumerate_modules_bruteforce(g: Graph, limit: int = 15) -> list[tuple[int, ...]]:
@@ -515,7 +491,7 @@ def verify_tree(g: Graph, t: MDTree) -> list[str]:
             k = len(node.children)
             if k < 4:
                 report(path, "prime node with < 4 children")
-            q = quotient(g, node, [1] * k).graph
+            q = quotient(g, node, [1] * k)
             if q.m == 0:
                 report(path, "prime node quotient is edgeless")
             elif q.m == k * (k - 1) // 2:

@@ -103,7 +103,6 @@ class CliqueSearch:
     """
 
     def __init__(self, g: Graph, config: SolverConfig = DEFAULT_CONFIG):
-        self.graph = g
         self.config = config
         alive = _dominance_survivors(g) if config.reduce_dominated else g.full_mask
         self.order = [v for v in order_vertices(g, config.ordering) if alive >> v & 1]

@@ -9,6 +9,8 @@ from mdclique.bench import CSV_COLUMNS, MODE_MD, MODE_PLAIN, expand_paths
 from mdclique.cli import main
 from conftest import make_hub7
 
+LIMIT_60S = SolverConfig(time_limit=60.0)
+
 EXPECTED_HEADER = (
     "instance,n,m,mode,clique_weight,status,md_time_s,solve_time_s,"
     "total_time_s,prime_nodes,tree_depth"
@@ -42,7 +44,7 @@ class TestBenchGraph:
 class TestRunBench:
     def test_rows_in_order_md_then_plain(self, instance_dir):
         paths = [instance_dir / "hub7.clq", instance_dir / "coprime20.clq"]
-        records = run_bench(paths, [MODE_MD, MODE_PLAIN], time_limit=60.0)
+        records = run_bench(paths, [MODE_MD, MODE_PLAIN], LIMIT_60S)
         assert [(r.instance, r.mode) for r in records] == [
             ("hub7", "MD"),
             ("hub7", "Plain"),
@@ -51,7 +53,7 @@ class TestRunBench:
         ]
 
     def test_cross_mode_agreement(self, instance_dir):
-        records = run_bench(sorted(instance_dir.iterdir()), [MODE_MD, MODE_PLAIN])
+        records = run_bench(sorted(instance_dir.iterdir()), [MODE_MD, MODE_PLAIN], LIMIT_60S)
         by_instance = {}
         for r in records:
             by_instance.setdefault(r.instance, {})[r.mode] = r
@@ -66,14 +68,14 @@ class TestRunBench:
         bad = instance_dir / "broken.clq"
         bad.write_text("p edge x y\n")
         records = run_bench(
-            [bad, instance_dir / "hub7.clq"], [MODE_MD, MODE_PLAIN]
+            [bad, instance_dir / "hub7.clq"], [MODE_MD, MODE_PLAIN], LIMIT_60S
         )
         assert [r.status for r in records[:2]] == ["ERROR", "ERROR"]
         assert records[2].instance == "hub7"
         assert records[2].status == "Optimal"
 
     def test_csv_schema(self, instance_dir):
-        records = run_bench([instance_dir / "hub7.clq"], [MODE_MD])
+        records = run_bench([instance_dir / "hub7.clq"], [MODE_MD], LIMIT_60S)
         csv_text = records_to_csv(records)
         lines = csv_text.strip().split("\n")
         assert lines[0] == EXPECTED_HEADER
@@ -90,7 +92,7 @@ class TestRunBench:
     def test_coprime_ladder_both_modes_optimal(self, tmp_path):
         for n in (100, 150, 200):
             (tmp_path / f"coprime{n}.clq").write_text(write_dimacs(coprime_graph(n)))
-        records = run_bench(sorted(tmp_path.iterdir()), [MODE_MD, MODE_PLAIN], time_limit=60.0)
+        records = run_bench(sorted(tmp_path.iterdir()), [MODE_MD, MODE_PLAIN], LIMIT_60S)
         assert len(records) == 6
         assert all(r.status == "Optimal" for r in records)
         weights = {}
@@ -104,8 +106,8 @@ class TestRunBench:
             return [row[:6] + row[9:] for row in rows]
 
         paths = sorted(instance_dir.iterdir())
-        first = records_to_csv(run_bench(paths, [MODE_MD, MODE_PLAIN]))
-        second = records_to_csv(run_bench(paths, [MODE_MD, MODE_PLAIN]))
+        first = records_to_csv(run_bench(paths, [MODE_MD, MODE_PLAIN], LIMIT_60S))
+        second = records_to_csv(run_bench(paths, [MODE_MD, MODE_PLAIN], LIMIT_60S))
         assert stable_part(first) == stable_part(second)
 
 

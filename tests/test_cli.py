@@ -175,3 +175,10 @@ class TestGenCommand:
         assert main(["gen", "coprime", "0"]) == 1
         assert main(["gen", "gnp", "5", "--p", "1.5"]) == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_over_vertex_limit_is_one_error_line(self, tmp_path, capsys):
+        out_path = tmp_path / "big.clq"
+        assert main(["gen", "gnp", str(MAX_VERTICES + 1), "-o", str(out_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert not out_path.exists()

@@ -18,6 +18,7 @@ from mdclique import (
     write_dimacs,
 )
 from mdclique import Ordering, SolverConfig
+from mdclique.graph import MAX_VERTICES
 
 
 class TestCoprimeGraph:
@@ -46,6 +47,10 @@ class TestCoprimeGraph:
     def test_rejects_zero(self):
         with pytest.raises(ValueError):
             coprime_graph(0)
+
+    def test_rejects_over_vertex_limit(self):
+        with pytest.raises(ValueError, match="exceeds the limit"):
+            coprime_graph(MAX_VERTICES + 1)
 
 
 class TestRandomPartition:
@@ -118,6 +123,10 @@ class TestRandomCograph:
         with pytest.raises(ValueError):
             random_cograph(0, 0)
 
+    def test_rejects_over_vertex_limit(self):
+        with pytest.raises(ValueError, match="exceeds the limit"):
+            random_cograph(MAX_VERTICES + 1, 0)
+
 
 class TestGnp:
     def test_extreme_probabilities(self):
@@ -135,3 +144,7 @@ class TestGnp:
 
     def test_empty(self):
         assert gnp(0, 0.5, seed=0).n == 0
+
+    def test_rejects_over_vertex_limit(self):
+        with pytest.raises(ValueError, match="exceeds the limit"):
+            gnp(MAX_VERTICES + 1, 0.5, seed=0)

@@ -14,7 +14,6 @@ from mdclique import (
     brute_force_clique,
     coprime_graph,
     decompose,
-    fold_check,
     gnp,
     induced_subgraph,
     is_clique,
@@ -183,20 +182,23 @@ class TestSolve:
 
 class TestFoldCheck:
     def test_hub7(self, hub7):
-        assert fold_check(hub7)
+        assert solve(hub7)[0].weight == max_weight_clique(hub7).weight
 
     def test_accepts_prebuilt_tree(self, hub7):
-        assert fold_check(hub7, decompose(hub7))
+        tree = decompose(hub7)
+        assert solve_node(hub7, tree.root).weight == max_weight_clique(hub7).weight
 
     def test_random_cographs(self):
         rng = random.Random(311)
+        config = SolverConfig(ordering=Ordering.NATURAL)
         for _ in range(100):
             g = random_cograph(rng.randint(1, 200), rng.randint(0, 10**6))
-            assert fold_check(g, config=SolverConfig(ordering=Ordering.NATURAL))
+            assert solve(g, config)[0].weight == max_weight_clique(g, config).weight
 
     def test_random_weighted_graphs(self):
         rng = random.Random(312)
         for _ in range(60):
             g = weighted_gnp(rng.randint(1, 15), rng.random(), seed=rng.randint(0, 10**9))
-            assert fold_check(g)
-            assert solve(g)[0].weight == brute_force_clique(g).weight
+            folded = solve(g)[0].weight
+            assert folded == max_weight_clique(g).weight
+            assert folded == brute_force_clique(g).weight

@@ -180,8 +180,13 @@ class TestIsModule:
         assert is_module(hub7, range(7))
 
     def test_empty_rejected(self, hub7):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="nonempty"):
             is_module(hub7, [])
+
+    @pytest.mark.parametrize("s", [[-1], [7], [0, 7]])
+    def test_out_of_range_rejected(self, hub7, s):
+        with pytest.raises(ValueError, match="out of range"):
+            is_module(hub7, s)
 
 
 class TestDecompose:
@@ -252,7 +257,7 @@ class TestDecompose:
                     assert 0 < cross < k * (k - 1) // 2
                     assert k >= 4
                     q = quotient(g, node, [1] * k)
-                    mods = enumerate_modules_bruteforce(q.graph)
+                    mods = enumerate_modules_bruteforce(q)
                     assert all(len(m) in (1, k) for m in mods)
 
     def test_known_tree_at_scale(self):
@@ -436,32 +441,29 @@ class TestQuotient:
     def test_hub7_root_quotient(self, hub7):
         t = decompose(hub7)
         q = quotient(hub7, t.root, [3, 1, 1, 1])
-        assert q.graph.n == 4
-        assert list(q.graph.edges()) == [(0, 1), (1, 2), (2, 3)]
-        assert q.graph.weights == [3, 1, 1, 1]
-        assert [q.graph.label(i) for i in range(4)] == ["abc", "d", "ef", "g"]
-        assert [node.span_vertices() for node in q.back_map] == [
-            (0, 1, 2),
-            (3,),
-            (4, 5),
-            (6,),
-        ]
+        assert q.n == 4
+        assert list(q.edges()) == [(0, 1), (1, 2), (2, 3)]
+        assert q.weights == [3, 1, 1, 1]
 
     def test_series_node_quotient_complete(self, hub7):
         series = decompose(hub7).root.children[0]
         assert series.kind is NodeKind.SERIES
         q = quotient(hub7, series, [1, 1, 1])
-        assert q.graph.m == 3
+        assert q.m == 3
 
     def test_parallel_node_quotient_edgeless(self, hub7):
         parallel = decompose(hub7).root.children[2]
         assert parallel.kind is NodeKind.PARALLEL
         q = quotient(hub7, parallel, [1, 1])
-        assert q.graph.m == 0
+        assert q.m == 0
 
     def test_weight_count_mismatch(self, hub7):
         with pytest.raises(ValueError, match="child weights"):
             quotient(hub7, decompose(hub7).root, [1, 1])
+
+    def test_nonpositive_weight_rejected(self, hub7):
+        with pytest.raises(ValueError, match="weight of vertex 2"):
+            quotient(hub7, decompose(hub7).root, [1, 1, 0, 1])
 
     def test_leaf_rejected(self, hub7):
         leaf = decompose(hub7).root.children[1]
