@@ -23,6 +23,7 @@ from .mdtree import (
     verify_tree,
 )
 from .wclique import (
+    Bound,
     CliqueSearch,
     Ordering,
     SolverConfig,
@@ -36,6 +37,7 @@ from .bench import BenchRecord, bench_graph, records_to_csv, run_bench
 
 __all__ = [
     "BenchRecord",
+    "Bound",
     "CliqueSearch",
     "DimacsError",
     "DimacsWarning",

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import nullcontext
 from pathlib import Path
 
 from . import bench as bench_mod
@@ -81,7 +82,10 @@ def cmd_gen(args: argparse.Namespace) -> int:
         return _fail(str(exc))
     text = write_dimacs(g)
     if args.output:
-        Path(args.output).write_text(text)
+        try:
+            Path(args.output).write_text(text)
+        except OSError as exc:
+            return _fail(f"{args.output}: {exc}")
     else:
         sys.stdout.write(text)
     return 0
@@ -103,12 +107,14 @@ def cmd_bench(args: argparse.Namespace) -> int:
             return _fail(f"unknown mode {mode!r} (expected md and/or plain)")
     # per-instance row order is always MD first
     modes = [m for m in (bench_mod.MODE_MD, bench_mod.MODE_PLAIN) if m in requested]
-    records = bench_mod.run_bench(args.paths, modes, config)
-    text = bench_mod.records_to_csv(records)
-    if args.output:
-        Path(args.output).write_text(text)
-    else:
-        sys.stdout.write(text)
+    # open the output first, so an unwritable path fails before any solve
+    try:
+        output = open(args.output, "w") if args.output else nullcontext(sys.stdout)
+    except OSError as exc:
+        return _fail(f"{args.output}: {exc}")
+    with output as stream:
+        records = bench_mod.run_bench(args.paths, modes, config)
+        stream.write(bench_mod.records_to_csv(records))
     return 1 if any(r.status == "ERROR" for r in records) else 0
 
 

@@ -16,7 +16,7 @@ from operator import itemgetter
 
 from .graph import Graph, Solution, SolveStatus
 from .mdtree import MDNode, MDTree, NodeKind, decompose, quotient
-from .wclique import DEFAULT_CONFIG, SolverConfig, max_weight_clique
+from .wclique import DEFAULT_CONFIG, Bound, SolverConfig, max_weight_clique
 
 
 @dataclass(frozen=True)
@@ -38,8 +38,10 @@ def solve_node(g: Graph, node: MDNode, config: SolverConfig = DEFAULT_CONFIG) ->
     lower bound)."""
     # quotient solves always run with the dominance reduction on: it is
     # sound for any instance and it is what lets prime quotients with
-    # heavy twin-like structure (e.g. the coprime family) close quickly
-    prime_config = replace(config, reduce_dominated=True)
+    # heavy twin-like structure (e.g. the coprime family) close quickly.
+    # They also always use the colour bound, which closes dense prime
+    # quotients that the suffix bound of plain branch and bound cannot
+    prime_config = replace(config, reduce_dominated=True, bound=Bound.COLOUR)
     order = [node]
     for parent in order:
         order.extend(parent.children)

@@ -149,6 +149,14 @@ class TestBenchCommand:
             ["MD", "ERROR"], ["Plain", "ERROR"], ["MD", "Optimal"], ["Plain", "Optimal"],
         ]
 
+    def test_unwritable_output_is_one_error_line(self, instance_dir, tmp_path, capsys):
+        out = tmp_path / "missing" / "out.csv"
+        rc = main(["bench", str(instance_dir / "hub7.clq"), "-o", str(out)])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.err.startswith(f"error: {out}: ") and captured.err.count("\n") == 1
+        assert "Traceback" not in captured.err and captured.out == ""
+
     def test_unknown_mode_rejected(self, instance_dir, capsys):
         rc = main(["bench", str(instance_dir / "hub7.clq"), "--modes", "turbo"])
         assert rc == 1

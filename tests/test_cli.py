@@ -176,6 +176,13 @@ class TestGenCommand:
         assert main(["gen", "gnp", "5", "--p", "1.5"]) == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_unwritable_output_is_one_error_line(self, tmp_path, capsys):
+        out_path = tmp_path / "missing" / "g.clq"
+        assert main(["gen", "gnp", "5", "-o", str(out_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {out_path}: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
     def test_over_vertex_limit_is_one_error_line(self, tmp_path, capsys):
         out_path = tmp_path / "big.clq"
         assert main(["gen", "gnp", str(MAX_VERTICES + 1), "-o", str(out_path)]) == 1

@@ -146,14 +146,30 @@ class TestSolve:
             assert sol.weight == max_weight_clique(g).weight
 
     def test_timeout_propagates_from_prime_solve(self):
-        # unstructured dense graph: one prime root whose quotient search
-        # needs far more than one deadline-check interval of nodes
-        g = gnp(80, 0.7, seed=5)
+        # unstructured dense graph: one prime root whose colour-bound
+        # quotient search needs about 548k nodes, far more than one
+        # 4096-node deadline-check interval (it trips there holding 32)
+        g = gnp(150, 0.9, seed=5)
         sol, info = solve(g, SolverConfig(time_limit=1e-9))
         assert info.prime_solver_calls >= 1
         assert sol.status is SolveStatus.TIMED_OUT
         assert is_clique(g, sol.vertices)
         assert set_weight(g, sol.vertices) == sol.weight
+
+    def test_dense_prime_node_closes(self):
+        # one prime node over all 100 vertices: the colour bound closes it
+        # in well under a second, where the suffix bound runs out of time
+        g = gnp(100, 0.9, seed=1)
+        sol, info = solve(g, SolverConfig(time_limit=10))
+        assert info.prime_solver_calls == 1
+        assert sol.status is SolveStatus.OPTIMAL
+        assert sol.weight == 30
+        assert is_clique(g, sol.vertices) and len(sol.vertices) == 30
+        nx = pytest.importorskip("networkx")
+        reference = nx.Graph()
+        reference.add_nodes_from(range(g.n))
+        reference.add_edges_from(g.edges())
+        assert nx.max_weight_clique(reference, weight=None)[1] == 30
 
     def test_deep_tree_within_default_recursion_limit(self):
         n = 1500

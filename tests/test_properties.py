@@ -1,5 +1,6 @@
-"""Property tests: the tree fold against the brute-force oracle, tree
-validity, DIMACS round trips, and the parser on arbitrary input."""
+"""Property tests: the tree fold and the colour-bound search against the
+brute-force oracle, tree validity, DIMACS round trips, and the parser on
+arbitrary input."""
 from __future__ import annotations
 
 import warnings
@@ -7,12 +8,15 @@ import warnings
 from hypothesis import given, strategies as st
 
 from mdclique import (
+    Bound,
     DimacsError,
     DimacsWarning,
     Graph,
+    SolverConfig,
     brute_force_clique,
     decompose,
     is_clique,
+    max_weight_clique,
     parse_dimacs,
     random_cograph,
     set_weight,
@@ -43,6 +47,15 @@ def test_solve_matches_brute_force(g):
     solution, _ = solve(g)
     assert solution.weight == brute_force_clique(g).weight
     assert solution.vertices == tuple(sorted(solution.vertices))
+    assert is_clique(g, solution.vertices)
+    assert set_weight(g, solution.vertices) == solution.weight
+
+
+@given(graphs(), st.booleans())
+def test_colour_bound_matches_brute_force(g, reduce_dominated):
+    config = SolverConfig(bound=Bound.COLOUR, reduce_dominated=reduce_dominated)
+    solution = max_weight_clique(g, config)
+    assert solution.weight == brute_force_clique(g).weight
     assert is_clique(g, solution.vertices)
     assert set_weight(g, solution.vertices) == solution.weight
 

@@ -1,10 +1,12 @@
 from __future__ import annotations
 
 import random
+import sys
 
 import pytest
 
 from mdclique import (
+    Bound,
     CliqueSearch,
     Graph,
     Ordering,
@@ -73,7 +75,8 @@ class TestMaxWeightClique:
         for _ in range(25):
             g = weighted_gnp(rng.randint(1, 14), rng.random(), seed=rng.randint(0, 10**9))
             weights = {
-                max_weight_clique(g, SolverConfig(ordering=o)).weight for o in Ordering
+                max_weight_clique(g, SolverConfig(ordering=o, bound=b)).weight
+                for o in Ordering for b in Bound
             }
             assert len(weights) == 1
 
@@ -157,6 +160,79 @@ class TestTimeout:
             SolverConfig(time_limit=-1.0)
         with pytest.raises(ValueError):
             SolverConfig(time_limit=float("nan"))
+
+
+COLOUR = SolverConfig(bound=Bound.COLOUR)
+COLOUR_REDUCED = SolverConfig(bound=Bound.COLOUR, reduce_dominated=True)
+
+
+def assert_witness(g, sol):
+    assert is_clique(g, sol.vertices)
+    assert set_weight(g, sol.vertices) == sol.weight
+    assert sol.vertices == tuple(sorted(sol.vertices))
+
+
+class TestColourBound:
+    @pytest.mark.parametrize("chunk", range(10))
+    def test_matches_bruteforce(self, chunk):
+        # 100 graphs per chunk with n <= 20: unit weights, or weights up to
+        # 10 or 200, each searched with and without the dominance reduction
+        rng = random.Random(4000 + chunk)
+        for _ in range(100):
+            n, p, seed = rng.randint(0, 20), rng.random(), rng.randint(0, 10**9)
+            max_weight = rng.choice([1, 10, 200])
+            g = gnp(n, p, seed) if max_weight == 1 else weighted_gnp(n, p, seed, max_weight)
+            expected = brute_force_clique(g).weight
+            for config in (COLOUR, COLOUR_REDUCED):
+                sol = max_weight_clique(g, config)
+                assert sol.status is SolveStatus.OPTIMAL
+                assert sol.weight == expected
+                assert_witness(g, sol)
+
+    def test_matches_suffix_search(self):
+        # p stops at 0.85: above it the suffix search alone takes seconds
+        # per graph at these sizes
+        rng = random.Random(4100)
+        for _ in range(200):
+            n, p, seed = rng.randint(30, 60), rng.uniform(0, 0.85), rng.randint(0, 10**9)
+            g = weighted_gnp(n, p, seed, rng.choice([1, 10, 200]))
+            sol = max_weight_clique(g, COLOUR)
+            assert sol.weight == max_weight_clique(g).weight
+            assert_witness(g, sol)
+
+    def test_search_state_after_run(self):
+        g = weighted_gnp(40, 0.6, seed=4300)
+        search = CliqueSearch(g, COLOUR_REDUCED)
+        sol = search.run()
+        assert set(sol.vertices) <= set(search.order)
+        assert search.nodes >= 1
+        # the suffix bounds belong to the suffix search alone
+        assert search.suffix_best == [0] * len(search.order)
+
+    def test_times_out_with_valid_incumbent(self):
+        # the colour search needs about 548k nodes on this instance, far
+        # beyond one 4096-node deadline-check interval, so any positive
+        # limit this small trips at the first check
+        g = gnp(150, 0.9, seed=5)
+        search = CliqueSearch(g, SolverConfig(time_limit=1e-9, bound=Bound.COLOUR))
+        sol = search.run()
+        assert sol.status is SolveStatus.TIMED_OUT
+        assert search.nodes == 4096
+        assert sol.weight >= 1
+        assert_witness(g, sol)
+
+    def test_deep_search_within_default_recursion_limit(self):
+        # a complete graph puts every vertex on one root-to-leaf path
+        n = 1200
+        g = Graph.from_adjacency(n, [((1 << n) - 1) ^ (1 << v) for v in range(n)])
+        old_limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(1000)
+        try:
+            sol = max_weight_clique(g, COLOUR)
+            assert sys.getrecursionlimit() == 1000
+        finally:
+            sys.setrecursionlimit(old_limit)
+        assert sol.weight == n and sol.vertices == tuple(range(n))
 
 
 class TestBruteForce:
