@@ -24,6 +24,12 @@ def _fail(message: str) -> int:
     return 1
 
 
+def _fail_path(path: str, exc: Exception) -> int:
+    # an OSError's own text repeats the path, so only its strerror is shown
+    detail = exc.strerror if isinstance(exc, OSError) else exc
+    return _fail(f"{path}: {detail}")
+
+
 def cmd_solve(args: argparse.Namespace) -> int:
     try:
         config = SolverConfig(time_limit=args.time_limit, ordering=_ORDERINGS[args.ordering])
@@ -32,7 +38,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
     try:
         g = bench_mod.load_instance(args.path)
     except (OSError, ValueError) as exc:
-        return _fail(f"{args.path}: {exc}")
+        return _fail_path(args.path, exc)
     solution, info = solve(g, config, md=not args.plain)
     md_s, solve_s = info.md_seconds, info.solve_seconds
     print(f"instance: {args.path}")
@@ -50,7 +56,7 @@ def cmd_md(args: argparse.Namespace) -> int:
     try:
         g = bench_mod.load_instance(args.path)
     except (OSError, ValueError) as exc:
-        return _fail(f"{args.path}: {exc}")
+        return _fail_path(args.path, exc)
     tree = decompose(g)
     counts = tree.kind_counts()
     print(tree.serialize())
@@ -85,7 +91,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
         try:
             Path(args.output).write_text(text)
         except OSError as exc:
-            return _fail(f"{args.output}: {exc}")
+            return _fail_path(args.output, exc)
     else:
         sys.stdout.write(text)
     return 0
@@ -111,7 +117,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     try:
         output = open(args.output, "w") if args.output else nullcontext(sys.stdout)
     except OSError as exc:
-        return _fail(f"{args.output}: {exc}")
+        return _fail_path(args.output, exc)
     with output as stream:
         records = bench_mod.run_bench(args.paths, modes, config)
         stream.write(bench_mod.records_to_csv(records))

@@ -267,7 +267,6 @@ def parse_dimacs(data: str | bytes) -> Graph:
     adj: list[int] = []
     weights: list[int] = []
     weighted = 0
-    edge_count = 0
     declared_m = 0
     for line_no, raw in enumerate(data.split("\n"), start=1):
         line = raw.rstrip("\r")
@@ -307,8 +306,6 @@ def parse_dimacs(data: str | bytes) -> Graph:
                 raise DimacsError(line_no, f"self-loop at vertex {u}")
             u -= 1
             v -= 1
-            if not adj[u] >> v & 1:
-                edge_count += 1
             adj[u] |= 1 << v
             adj[v] |= 1 << u
         elif kind == "n":
@@ -332,13 +329,14 @@ def parse_dimacs(data: str | bytes) -> Graph:
             raise DimacsError(line_no, f"unrecognized line: {line!r}")
     if n < 0:
         raise DimacsError(max(1, data.count("\n") + 1), "missing problem line")
-    if edge_count != declared_m:
+    g = Graph._from_masks(n, adj, weights)
+    if g.m != declared_m:
         warnings.warn(
-            f"problem line declares {declared_m} edges, file has {edge_count}",
+            f"problem line declares {declared_m} edges, file has {g.m}",
             DimacsWarning,
             stacklevel=2,
         )
-    return Graph._from_masks(n, adj, weights)
+    return g
 
 
 def write_dimacs(g: Graph) -> str:

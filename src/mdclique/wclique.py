@@ -64,6 +64,10 @@ class SolverConfig:
         # written so that NaN, which compares false both ways, is rejected
         if not self.time_limit >= 0:
             raise ValueError(f"time limit must be >= 0, got {self.time_limit}")
+        if not isinstance(self.ordering, Ordering):
+            raise TypeError(f"ordering must be an Ordering, got {self.ordering!r}")
+        if not isinstance(self.bound, Bound):
+            raise TypeError(f"bound must be a Bound, got {self.bound!r}")
 
 
 DEFAULT_CONFIG = SolverConfig()
@@ -78,10 +82,6 @@ def order_vertices(g: Graph, strategy: Ordering) -> list[int]:
     elif strategy is Ordering.WEIGHT_DESC:
         ids.sort(key=lambda v: (-g.weights[v], v))
     return ids
-
-
-class _Deadline(Exception):
-    pass
 
 
 def _dominance_survivors(g: Graph) -> int:
@@ -147,8 +147,6 @@ class CliqueSearch:
     def _suffix(self, deadline: float) -> tuple[int, int, SolveStatus]:
         """Östergård's search; returns (weight, order-space mask, status)."""
         n = len(self.order)
-        if sys.getrecursionlimit() < n + 256:
-            sys.setrecursionlimit(n + 256)
         perf_counter = time.perf_counter
         radj = self._radj
         rw = self._rw
@@ -157,15 +155,16 @@ class CliqueSearch:
         nodes = 0
         best_weight = 0
         best_mask = 0
-        stack: list[int] = []
         cap = 0
-        cap_hit = False
+        # stop ends the pass (cap reached or deadline), timed_out the run
+        stop = timed_out = False
 
-        def expand(candidates: int, weight: int) -> None:
-            nonlocal nodes, best_weight, best_mask, cap_hit
+        def expand(candidates: int, weight: int, clique: int) -> None:
+            nonlocal nodes, best_weight, best_mask, stop, timed_out
             nodes += 1
             if nodes & 4095 == 0 and deadline and perf_counter() > deadline:
-                raise _Deadline
+                stop = timed_out = True
+                return
             if unit:
                 remaining = candidates.bit_count()
             else:
@@ -186,38 +185,36 @@ class CliqueSearch:
                 remaining -= rw[j]
                 grown = weight + rw[j]
                 next_candidates = candidates & radj[j]
-                stack.append(j)
                 if next_candidates:
-                    expand(next_candidates, grown)
+                    expand(next_candidates, grown, clique | low)
                 elif grown > best_weight:
                     best_weight = grown
-                    mask = 0
-                    for k in stack:
-                        mask |= 1 << k
-                    best_mask = mask
+                    best_mask = clique | low
                     if grown == cap:
-                        cap_hit = True
-                stack.pop()
-                if cap_hit:
+                        stop = True
+                if stop:
                     return
 
-        status = SolveStatus.OPTIMAL
+        # expand recurses once per clique vertex
+        old_limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(max(old_limit, n + 256))
         try:
             for i in range(n - 1, -1, -1):
                 cap = best_weight + rw[i]
-                cap_hit = False
-                stack.clear()
-                stack.append(i)
+                stop = False
                 candidates = radj[i] >> (i + 1) << (i + 1)
                 if candidates:
-                    expand(candidates, rw[i])
+                    expand(candidates, rw[i], 1 << i)
                 elif rw[i] > best_weight:
                     best_weight = rw[i]
                     best_mask = 1 << i
+                if timed_out:
+                    break
                 suffix_best[i] = best_weight
-        except _Deadline:
-            status = SolveStatus.TIMED_OUT
+        finally:
+            sys.setrecursionlimit(old_limit)
         self.nodes = nodes
+        status = SolveStatus.TIMED_OUT if timed_out else SolveStatus.OPTIMAL
         return best_weight, best_mask, status
 
     def _colour(self, deadline: float) -> tuple[int, int, SolveStatus]:

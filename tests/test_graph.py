@@ -179,6 +179,10 @@ class TestParseDimacs:
             g = parse_dimacs("p edge 2 2\ne 1 2\ne 2 1\n")
         assert g.m == 1
 
+    def test_mismatch_warning_counts_distinct_edges(self):
+        with pytest.warns(DimacsWarning, match="^problem line declares 2 edges, file has 1$"):
+            parse_dimacs("p edge 2 2\ne 1 2\ne 2 1\n")
+
 
 class TestWriteDimacs:
     def test_triangle_round_trip(self):

@@ -144,11 +144,12 @@ class TestTimeout:
         # this instance needs ~84k search nodes, far beyond one 4096-node
         # deadline-check interval, so any positive limit this small trips
         g = gnp(80, 0.7, seed=5)
-        sol = max_weight_clique(g, SolverConfig(time_limit=1e-9))
+        search = CliqueSearch(g, SolverConfig(time_limit=1e-9))
+        sol = search.run()
         assert sol.status is SolveStatus.TIMED_OUT
+        assert search.nodes == 4096
         assert sol.weight >= 1
-        assert is_clique(g, sol.vertices)
-        assert set_weight(g, sol.vertices) == sol.weight
+        assert_witness(g, sol)
 
     def test_zero_limit_means_unlimited(self):
         g = weighted_gnp(14, 0.5, seed=55)
@@ -160,6 +161,33 @@ class TestTimeout:
             SolverConfig(time_limit=-1.0)
         with pytest.raises(ValueError):
             SolverConfig(time_limit=float("nan"))
+
+    @pytest.mark.parametrize("field, value, kind", [
+        ("ordering", "degree", "an Ordering"), ("bound", "colour", "a Bound"),
+    ])
+    def test_non_member_rejected(self, field, value, kind):
+        with pytest.raises(TypeError, match=f"^{field} must be {kind}, got '{value}'$"):
+            SolverConfig(**{field: value})
+
+
+def complete_graph(n: int) -> Graph:
+    return Graph.from_adjacency(n, [((1 << n) - 1) ^ (1 << v) for v in range(n)])
+
+
+class TestSuffixRecursionLimit:
+    @pytest.mark.parametrize("n, edges", [(1000, False), (1100, True)])
+    def test_caller_limit_restored(self, n, edges):
+        # the suffix search recurses once per clique vertex, so it raises
+        # the limit for its run and must put the caller's back
+        g = complete_graph(n) if edges else Graph(n)
+        old_limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(1000)
+        try:
+            sol = max_weight_clique(g)
+            assert sys.getrecursionlimit() == 1000
+        finally:
+            sys.setrecursionlimit(old_limit)
+        assert sol.status is SolveStatus.OPTIMAL and sol.weight == (n if edges else 1)
 
 
 COLOUR = SolverConfig(bound=Bound.COLOUR)
@@ -224,7 +252,7 @@ class TestColourBound:
     def test_deep_search_within_default_recursion_limit(self):
         # a complete graph puts every vertex on one root-to-leaf path
         n = 1200
-        g = Graph.from_adjacency(n, [((1 << n) - 1) ^ (1 << v) for v in range(n)])
+        g = complete_graph(n)
         old_limit = sys.getrecursionlimit()
         sys.setrecursionlimit(1000)
         try:
