@@ -1,10 +1,13 @@
 """Command-line front end: solve, md, gen, bench.
 
-Exit codes: 0 success (solve: optimum proven), 1 error, 2 timed out.
+Exit codes: 0 success (solve: optimum proven), 1 error, 2 timed out. A
+reader that closes standard output early (`mdclique md x.clq | head -c 1`)
+also gives exit code 1, with nothing on standard error.
 """
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from contextlib import nullcontext
 from pathlib import Path
@@ -166,7 +169,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        code = args.func(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader is gone; aim stdout at devnull so that the
+        # interpreter's final flush of the buffered rest cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return code
 
 
 if __name__ == "__main__":

@@ -11,8 +11,11 @@ or Prime (the quotient on the children has only trivial modules).
 node's children, the maximal proper modules. Those come from partition
 refinement around a pivot, M(G, v), and reachability in the forcing graph
 of the quotient G/M(G, v) (Ehrenfeucht, Gabow, McConnell and Sullivan,
-J. Algorithms 1994). Spans wait on an explicit stack, so no tree depth
-meets the interpreter's recursion limit.
+J. Algorithms 1994). In the refinement each part carries a superset of
+its splitters, and a split computes exact splitters for its smaller half
+only (Hopcroft's rule; Habib, Paul and Viennot, IJFCS 1999). Spans wait
+on an explicit stack, so no tree depth meets the interpreter's recursion
+limit.
 
 Deep trees (threshold graphs reach depth n - 1) stay cheap because no
 level rescans its whole span. Every search is direction-optimising
@@ -30,7 +33,6 @@ enumerator in tests.
 """
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Iterator
@@ -196,44 +198,39 @@ def _components(adj: list[int], span: int, flip: int) -> list[int]:
 def _maximal_modules_avoiding(adj: list[int], span: int, pivot: int) -> list[int]:
     """Maximal modules of the span-induced subgraph that avoid `pivot`.
 
-    Partition refinement: start from {N(pivot), non-neighbors}, split parts
-    by any outside vertex adjacent to some but not all of the part. Both
-    halves of a split are requeued as splitters, which guarantees the
-    fixpoint; the fixpoint is exactly the maximal-modules partition.
+    Partition refinement from {N(pivot), non-neighbours}, where each part
+    carries a superset of the vertices that split it (adjacent to some but
+    not all of it). A candidate that splits no part splits none of its
+    subsets and is dropped; a part with none left is a maximal module. At
+    a split only the smaller half pays for exact splitters (Hopcroft's
+    rule), the OR of its lowest member's row XOR each other member's row.
+    The larger half inherits the remaining candidates plus the smaller half.
     """
     inside = span & ~(1 << pivot)
     nbrs = adj[pivot] & inside
-    parts = [p for p in (nbrs, inside & ~nbrs) if p]
-    singles = []
-    queue = deque(iter_bits(inside))
-    queued = inside
-    while queue:
-        z = queue.popleft()
-        queued &= ~(1 << z)
-        zadj = adj[z]
-        i = 0
-        while i < len(parts):
-            part = parts[i]
-            if part >> z & 1:
-                i += 1
-                continue
-            hit = part & zadj
-            if hit == 0 or hit == part:
-                i += 1
-                continue
-            miss = part & ~zadj
-            replacement = []
-            for half in (hit, miss):
-                requeue = half & ~queued
-                queued |= requeue
-                queue.extend(iter_bits(requeue))
-                if half & (half - 1):
-                    replacement.append(half)
-                else:
-                    singles.append(half)
-            parts[i : i + 1] = replacement
-            i += len(replacement)
-    return parts + singles
+    pending = [(p, inside ^ p) for p in (nbrs, inside ^ nbrs) if p]
+    modules = []
+    while pending:
+        part, cands = pending.pop()
+        # a single vertex is never split, so its candidates go unscanned
+        for z in iter_bits(cands if part & (part - 1) else 0):
+            hit = part & adj[z]
+            if hit and hit != part:
+                break
+        else:
+            modules.append(part)
+            continue
+        # candidates up to z split nothing of this part any more
+        cands = cands >> z + 1 << z + 1
+        small, large = sorted((hit, part ^ hit), key=int.bit_count)
+        first = small & -small
+        row = adj[first.bit_length() - 1]
+        splitters = 0
+        for v in iter_bits(small ^ first):
+            splitters |= row ^ adj[v]
+        pending.append((small, splitters & (cands | large)))
+        pending.append((large, cands | small))
+    return modules
 
 
 def _module_closure(adj: list[int], span: int, seed: int) -> int:

@@ -1,9 +1,13 @@
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import mdclique
 from mdclique import coprime_graph, parse_dimacs, write_dimacs
 from mdclique.cli import main
 from mdclique.graph import MAX_VERTICES
@@ -193,3 +197,30 @@ class TestGenCommand:
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
         assert not out_path.exists()
+
+
+class TestClosedStdout:
+    """A reader that has gone away, as in `mdclique md x.clq | head -c 1`,
+    ends the command with exit code 1 and no traceback."""
+
+    @pytest.mark.parametrize("command", [
+        ["md", "coprime300.clq"], ["gen", "coprime", "300"], ["solve", "coprime300.clq"],
+    ])
+    def test_exit_1_with_empty_stderr(self, tmp_path, command):
+        (tmp_path / "coprime300.clq").write_text(write_dimacs(coprime_graph(300)))
+        src = str(Path(mdclique.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        # the read end is closed before the child starts, so its first
+        # write to stdout fails however fast it runs
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            result = subprocess.run(
+                [sys.executable, "-m", "mdclique", *command], cwd=tmp_path,
+                stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60,
+            )
+        finally:
+            os.close(write_end)
+        assert result.returncode == 1
+        assert result.stderr == b""

@@ -14,13 +14,14 @@ from mdclique import (
     decompose,
     enumerate_modules_bruteforce,
     gnp,
+    induced_subgraph,
     is_module,
     quotient,
     solve,
     verify_tree,
 )
 from mdclique.graph import iter_bits, vertex_mask
-from mdclique.mdtree import _components, _reach
+from mdclique.mdtree import _components, _maximal_modules_avoiding, _reach
 from conftest import alternating_threshold
 
 HUB7_TREE = "Prime[Series[a,b,c],d,Parallel[e,f],g]"
@@ -272,6 +273,21 @@ class TestDecompose:
         assert max(len(node.children) for node in t.iter_nodes()
                    if node.kind is NodeKind.PRIME) >= 100
 
+    @pytest.mark.parametrize("cycle", [False, True])
+    def test_long_shuffled_path_and_cycle_are_prime(self, cycle):
+        # paths and cycles on >= 5 vertices have only trivial modules, so
+        # the root is one prime node over n leaves; shuffled ids spread each
+        # refinement part over the whole id range
+        n = 3000
+        ids = list(range(n))
+        random.Random(71).shuffle(ids)
+        edges = [(ids[i], ids[i + 1]) for i in range(n - 1)]
+        if cycle:
+            edges.append((ids[-1], ids[0]))
+        root = decompose(Graph(n, edges)).root
+        assert root.kind is NodeKind.PRIME
+        assert [child.vertex for child in root.children] == list(range(n))
+
     def test_strong_modules_match_bruteforce(self):
         rng = random.Random(23)
         for _ in range(60):
@@ -341,6 +357,22 @@ class TestSearchKernels:
                     expected.append(comp)
                     rest &= ~comp
                 assert _components(adj, span, flip) == expected
+
+    def test_maximal_modules_avoiding_match_bruteforce(self):
+        rng = random.Random(64)
+        for _ in range(300):
+            n = rng.randint(2, 11)
+            g = gnp(n, rng.choice([0.1, 0.3, 0.5, 0.7, 0.9]), seed=rng.randrange(10**9))
+            old_ids = sorted(rng.sample(range(n), rng.randint(2, n)))
+            span = vertex_mask(old_ids)
+            sub, _ = induced_subgraph(g, old_ids)
+            modules = [vertex_mask(old_ids[v] for v in m)
+                       for m in enumerate_modules_bruteforce(sub)]
+            for pivot in old_ids:
+                avoiding = [m for m in modules if not m >> pivot & 1]
+                maximal = sorted(m for m in avoiding
+                                 if not any(m != o and m & o == m for o in avoiding))
+                assert sorted(_maximal_modules_avoiding(g.adj, span, pivot)) == maximal
 
     def test_deep_alternating_threshold(self):
         n = 3000
