@@ -16,6 +16,7 @@ from mdclique import (
     set_weight,
     write_dimacs,
 )
+from mdclique import graph as graph_module
 from mdclique.graph import MAX_VERTICES, _compress
 
 TRIANGLE = "p edge 3 3\ne 1 2\ne 2 3\ne 1 3\n"
@@ -126,8 +127,8 @@ class TestParseDimacs:
             parse_dimacs("p edge 2 1\ne \u0661 2\n")
 
     def test_vertex_count_limit(self):
-        # the boundary allocates two 65536-entry lists; one more is refused
-        # before any allocation
+        # the boundary allocates two 65536-entry lists and a 65536-entry id
+        # table; one more is refused before any allocation
         assert parse_dimacs(f"p edge {MAX_VERTICES} 0\n").n == MAX_VERTICES
         with pytest.raises(DimacsError, match="line 2: vertex count 65537 exceeds"):
             parse_dimacs(f"c big\np edge {MAX_VERTICES + 1} 0\n".encode())
@@ -171,8 +172,10 @@ class TestParseDimacs:
             parse_dimacs("p edge 2 0\nq 1 2\n")
 
     def test_edge_count_mismatch_warns(self):
-        with pytest.warns(DimacsWarning):
+        with pytest.warns(DimacsWarning) as caught:
             parse_dimacs("p edge 3 5\ne 1 2\n")
+        # attributed to the caller, not to a line inside graph.py
+        assert caught[0].filename == __file__
 
     def test_duplicate_edges_deduplicated(self):
         with pytest.warns(DimacsWarning):
@@ -182,6 +185,60 @@ class TestParseDimacs:
     def test_mismatch_warning_counts_distinct_edges(self):
         with pytest.warns(DimacsWarning, match="^problem line declares 2 edges, file has 1$"):
             parse_dimacs("p edge 2 2\ne 1 2\ne 2 1\n")
+
+
+@pytest.fixture(params=[None, 1 << 20], ids=["default-chunks", "one-chunk"])
+def coprime_lines(request, monkeypatch):
+    """The lines of coprime_graph(300)'s DIMACS text (254 kB, 27,398
+    lines), with the parser's chunk size at its default, which puts chunk
+    boundaries all through the edge block, and at a size that holds the
+    whole block in one chunk."""
+    if request.param is not None:
+        monkeypatch.setattr(graph_module, "_CHUNK_CHARS", request.param)
+    return write_dimacs(coprime_graph(300)).split("\n")
+
+
+class TestParseDeepEdgeLines:
+    def test_errors_report_their_line(self, coprime_lines):
+        k = 2 * len(coprime_lines) // 3
+        for bad, message in [
+            ("e 5", "malformed edge line: 'e 5'"),
+            ("e 1 301", "edge endpoint out of range 1..300"),
+            ("e 7 7", "self-loop at vertex 7"),
+            ("e 1 2 e 3 4", "malformed edge line: 'e 1 2 e 3 4'"),
+            # with a blank line after it, the chunk's token count is still
+            # three per line
+            ("e 1 2 e 3 4\n", "malformed edge line: 'e 1 2 e 3 4'"),
+            ("ee 1 2", "unrecognized line: 'ee 1 2'"),
+            # str.split() takes a no-break space for a separator
+            ("e 1\xa02", "non-ASCII character in line: 'e 1\\xa02'"),
+        ]:
+            lines = list(coprime_lines)
+            lines.insert(k - 1, bad)
+            with pytest.raises(DimacsError) as caught:
+                parse_dimacs("\n".join(lines))
+            assert caught.value.line == k
+            assert str(caught.value) == f"line {k}: {message}"
+
+    def test_chunk_that_starts_with_a_blank_line(self, monkeypatch):
+        # the second chunk is "\ne 1 2 e 3 4": its token count is three per
+        # line, but its first line is blank
+        monkeypatch.setattr(graph_module, "_CHUNK_CHARS", len("e 1 2\n"))
+        with pytest.raises(DimacsError, match="^line 4: malformed edge line: 'e 1 2 e 3 4'$"):
+            parse_dimacs("p edge 4 0\ne 1 2\n\ne 1 2 e 3 4\n")
+
+    def test_comment_and_blank_lines_mid_block(self, coprime_lines):
+        k = len(coprime_lines) // 2
+        lines = coprime_lines[:k] + ["c a comment in the edge block", "", "\t"] + coprime_lines[k:]
+        assert parse_dimacs("\n".join(lines)) == coprime_graph(300)
+
+    @pytest.mark.parametrize("form", ["e 0{} {}", "e +{} {}", "e {} 0{}", "\te {} {}", "  e\t{}\t{}"])
+    def test_unusual_edge_forms_accepted(self, coprime_lines, form):
+        k = len(coprime_lines) // 2
+        _, u, v = coprime_lines[k].split()
+        lines = list(coprime_lines)
+        lines[k] = form.format(u, v)
+        assert parse_dimacs("\n".join(lines)) == coprime_graph(300)
 
 
 class TestWriteDimacs:

@@ -4,6 +4,7 @@ arbitrary input."""
 from __future__ import annotations
 
 import warnings
+from unittest import mock
 
 from hypothesis import given, strategies as st
 
@@ -24,6 +25,7 @@ from mdclique import (
     verify_tree,
     write_dimacs,
 )
+from mdclique import graph as graph_module
 
 
 @st.composite
@@ -71,16 +73,21 @@ def test_dimacs_round_trip(g):
 
 
 # a problem line, then lines of every kind with small numbers, in and out
-# of range, and tokens the parser must reject outside comments
+# of range, and tokens the parser must reject outside comments; among them
+# the valid edge lines that only the line-by-line reader takes
 _number = st.integers(-1, 4).map(str)
 _count = st.integers(0, 4).map(str)
 _problem = st.tuples(st.just("p edge"), _count, _count).map(" ".join)
+_edge = st.tuples(st.just("e"), _number, _number).map(" ".join)
 _line = st.one_of(
-    st.tuples(st.sampled_from(["e", "n"]), _number, _number).map(" ".join),
+    st.tuples(st.sampled_from(["e", "n", "ee", "e1"]), _number, _number).map(" ".join),
     st.lists(st.sampled_from(["p", "edge", "e", "c", "1", "x", "\t", "\r", "\xe9"]),
              max_size=4).map(" ".join),
+    st.tuples(st.sampled_from([" ", "\t", " \t"]), _edge).map("".join),
+    _edge.map(lambda line: line + "\r"),
+    st.sampled_from(["e 01 2", "e +1 2", "e 1 02", "e 1 2 e 3 4", "", "c between edges"]),
 )
-_dimacs_like = st.tuples(_problem, st.lists(_line, max_size=8)).map(
+_dimacs_like = st.tuples(_problem, st.lists(st.one_of(_edge, _line), max_size=12)).map(
     lambda lines: "\n".join([lines[0], *lines[1]]).encode("latin-1")
 )
 
@@ -95,3 +102,27 @@ def test_parse_returns_graph_or_dimacs_error(data):
             return
     assert isinstance(g, Graph)
     assert parse_dimacs(write_dimacs(g)) == g
+
+
+def _parse_outcome(data: bytes) -> tuple[object, list[str]]:
+    """The Graph, or the DimacsError's line and text, and the warning texts
+    of one parse."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result: object = parse_dimacs(data)
+        except DimacsError as exc:
+            result = (exc.line, str(exc))
+    return result, [str(w.message) for w in caught]
+
+
+@given(st.one_of(st.binary(max_size=200), _dimacs_like),
+       st.one_of(st.just(1), st.integers(2, 40), st.just(graph_module._CHUNK_CHARS)))
+def test_parse_matches_line_by_line_reference(data, chunk_chars):
+    # chunk_chars 1 puts a chunk boundary at every line end, and the default
+    # holds the whole edge block of these short inputs in one chunk
+    with mock.patch.object(graph_module, "_CHUNK_CHARS", chunk_chars):
+        got = _parse_outcome(data)
+    with mock.patch.object(graph_module, "_read_edges", lambda *args: False):
+        want = _parse_outcome(data)
+    assert got == want
