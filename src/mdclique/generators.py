@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import math
 import random
+from itertools import compress
 
 from .graph import MAX_VERTICES, Graph
 
@@ -22,15 +23,29 @@ def _check_n(n: int, least: int) -> None:
 
 def coprime_graph(n: int) -> Graph:
     """Graph on vertices labelled 1..n with an edge wherever the labels are
-    coprime (gcd = 1); unit weights. Vertex id k carries label k+1."""
+    coprime (gcd = 1); unit weights. Vertex id k carries label k+1.
+
+    A sieve finds the primes up to n. For each prime p the mask of the ids
+    whose label p divides is built once and ORed into the `shared` mask of
+    each of its multiples, so the row of label i > 1 is every id except
+    those sharing a prime with i (i itself among them), and the row of
+    label 1 is every id but its own: O(n log log n) big-int operations.
+    """
     _check_n(n, 1)
-    adj = [0] * n
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            if math.gcd(i, j) == 1:
-                adj[i - 1] |= 1 << (j - 1)
-                adj[j - 1] |= 1 << (i - 1)
-    return Graph._from_masks(n, adj)
+    prime = bytearray([1]) * (n + 1)
+    prime[:2] = b"\0\0"
+    for p in range(2, math.isqrt(n) + 1):
+        if prime[p]:
+            prime[p * p :: p] = bytes(len(range(p * p, n + 1, p)))
+    shared = [0] * n
+    for p in compress(range(n + 1), prime):
+        # bit k - 1 is set iff p divides k: "1" leads each block of p digits
+        multiples = int(("1" + "0" * (p - 1)) * (n // p), 2)
+        for k in range(p, n + 1, p):
+            shared[k - 1] |= multiples
+    full = (1 << n) - 1
+    shared[0] = 1
+    return Graph._from_masks(n, [full ^ mask for mask in shared])
 
 
 def random_partition(n: int, rng: random.Random) -> list[int]:

@@ -10,7 +10,8 @@ import operator
 import warnings
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Iterator
+from itertools import compress, repeat
+from typing import Iterable, Iterator, Sequence
 
 
 # largest vertex count parse_dimacs accepts: the bitset adjacency of a dense
@@ -44,6 +45,22 @@ def iter_bits(mask: int) -> Iterator[int]:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+# the ASCII digits of a binary numeral to itertools.compress selectors
+_DIGIT_TO_BIT = bytes.maketrans(b"01", b"\0\1")
+
+
+def _above(mask: int, u: int, items: Sequence) -> Iterator:
+    """The items[v] for the set bits v > u of mask, ascending.
+
+    The bits above u are formatted once as a binary numeral, reversed so
+    that index j holds bit u + 1 + j, and translated into selector bytes
+    for one itertools.compress, so a row costs a few C-level passes
+    instead of a Python step per bit.
+    """
+    digits = format(mask >> (u + 1), "b")[::-1].encode("ascii")
+    return compress(items[u + 1 :], digits.translate(_DIGIT_TO_BIT))
 
 
 def vertex_mask(vertices: Iterable[int]) -> int:
@@ -123,7 +140,14 @@ class Graph:
         labels: list[str] | None = None,
     ) -> "Graph":
         """Build from bitmask adjacency, checked for range, symmetry and
-        irreflexivity. The masks are copied."""
+        irreflexivity. The masks are copied.
+
+        Symmetry is checked on one row-major n * n bytearray, whose byte
+        u * n + v is bit v of adj[u]: row u is the slice mat[u * n:(u + 1) * n]
+        and column u the strided slice mat[u::n], so each vertex costs a
+        few C-level slice operations. An asymmetry is reported at the
+        lowest u whose row and column differ, and there at the lowest v.
+        """
         adj = list(adj)
         if len(adj) != n:
             raise ValueError("need one adjacency mask per vertex")
@@ -133,12 +157,14 @@ class Graph:
                 raise ValueError(f"adjacency of vertex {v} out of range")
             if mask >> v & 1:
                 raise ValueError(f"self-loop at vertex {v}")
-        # symmetry: the bit matrix equals its transpose; row v as a string
-        # holds bit u of adj[v] at index u
-        rows = [format(mask, f"0{n}b")[::-1] for mask in adj]
-        for u, column in enumerate(map("".join, zip(*rows))):
-            if column != rows[u]:
-                v = next(v for v in range(n) if column[v] != rows[u][v])
+        mat = bytearray(n * n)
+        width = f"0{n}b"
+        for u, mask in enumerate(adj):
+            mat[u * n : (u + 1) * n] = format(mask, width)[::-1].encode("ascii")
+        for u in range(n):
+            row, column = mat[u * n : (u + 1) * n], mat[u::n]
+            if row != column:
+                v = next(v for v in range(n) if row[v] != column[v])
                 raise ValueError(f"asymmetric adjacency between {u} and {v}")
         return cls._from_masks(n, adj, weights, labels)
 
@@ -176,9 +202,9 @@ class Graph:
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """All edges as (u, v) with u < v, in sorted order."""
-        for u in range(self.n):
-            for v in iter_bits(self.adj[u] >> (u + 1) << (u + 1)):
-                yield (u, v)
+        ids = range(self.n)
+        for u, mask in enumerate(self.adj):
+            yield from zip(repeat(u), _above(mask, u, ids))
 
     def label(self, v: int) -> str:
         if self.labels is not None:
@@ -403,13 +429,18 @@ def parse_dimacs(data: str | bytes) -> Graph:
 def write_dimacs(g: Graph) -> str:
     """Serialize to DIMACS text; parse_dimacs(write_dimacs(g)) == g.
 
-    Non-unit weights are emitted as `n <v> <w>` lines.
+    Non-unit weights are emitted as `n <v> <w>` lines. The edge lines of
+    vertex u are written as one string: its neighbours above u are
+    gathered from a list of the 1-based vertex names, as in `edges()`, and
+    joined with the separator `\ne <u+1> `, so the text costs a few C-level
+    passes per vertex instead of a string per edge.
     """
     out = [f"p edge {g.n} {g.m}"]
-    for v, w in enumerate(g.weights):
-        if w != 1:
-            out.append(f"n {v + 1} {w}")
-    for u, v in g.edges():
-        out.append(f"e {u + 1} {v + 1}")
+    out += [f"n {v + 1} {w}" for v, w in enumerate(g.weights) if w != 1]
+    names = [str(v + 1) for v in range(g.n)]
+    for u, mask in enumerate(g.adj):
+        if mask >> (u + 1):
+            head = f"e {u + 1} "
+            out.append(head + f"\n{head}".join(_above(mask, u, names)))
     out.append("")
     return "\n".join(out)

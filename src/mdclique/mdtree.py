@@ -236,19 +236,21 @@ def _maximal_modules_avoiding(adj: list[int], span: int, pivot: int) -> list[int
 def _module_closure(adj: list[int], span: int, seed: int) -> int:
     """Smallest module of the span-induced subgraph containing seed.
 
-    Grows the set by batches of splitters; stops early once it reaches the
-    whole span.
+    A vertex outside S splits S iff its adjacency to some member differs
+    from its adjacency to a fixed member r, so the splitters of S are the
+    outside bits of the OR of adj[r] ^ adj[v] over the members v. Each
+    vertex added to S contributes one XOR to that OR, and the outside is
+    never rescanned.
     """
-    s = seed
-    while s != span:
-        grow = 0
-        for z in iter_bits(span & ~s):
-            hit = adj[z] & s
-            if hit and hit != s:
-                grow |= 1 << z
-        if not grow:
-            break
+    row = adj[(seed & -seed).bit_length() - 1]
+    s = 0
+    grow = seed
+    diff = 0
+    while grow:
         s |= grow
+        for v in iter_bits(grow):
+            diff |= row ^ adj[v]
+        grow = diff & span & ~s
     return s
 
 

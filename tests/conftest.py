@@ -6,6 +6,7 @@ import pytest
 from hypothesis import settings
 
 from mdclique import Graph
+from mdclique.graph import iter_bits
 
 # property tests draw the same examples on every run, so a tier-1 failure
 # reproduces, and the example counts keep the suite's time bounded
@@ -49,3 +50,34 @@ def alternating_threshold(n: int) -> Graph:
     odd = sum(1 << v for v in range(1, n, 2))
     adj = [odd >> (v + 1) << (v + 1) | ((1 << v) - 1 if v % 2 else 0) for v in range(n)]
     return Graph.from_adjacency(n, adj)
+
+
+# Reference bodies of the graph I/O: one Python step per vertex pair or
+# per edge. The library gathers whole rows at C speed and must agree with
+# these exactly.
+
+def edges_by_bits(g: Graph) -> list[tuple[int, int]]:
+    """Every edge (u, v), u < v, in sorted order, one bit at a time."""
+    return [(u, v) for u in range(g.n) for v in iter_bits(g.adj[u] >> (u + 1) << (u + 1))]
+
+
+def write_dimacs_per_edge(g: Graph) -> str:
+    """DIMACS text with one formatted line per edge."""
+    out = [f"p edge {g.n} {g.m}"]
+    for v, w in enumerate(g.weights):
+        if w != 1:
+            out.append(f"n {v + 1} {w}")
+    for u, v in edges_by_bits(g):
+        out.append(f"e {u + 1} {v + 1}")
+    out.append("")
+    return "\n".join(out)
+
+
+def first_asymmetry(n: int, adj: list[int]) -> tuple[int, int] | None:
+    """The lowest u whose row and column of the bit matrix differ, and the
+    lowest v where they do; None for a symmetric matrix."""
+    rows = [format(mask, f"0{n}b")[::-1] for mask in adj]
+    for u, column in enumerate(map("".join, zip(*rows))):
+        if column != rows[u]:
+            return u, next(v for v in range(n) if column[v] != rows[u][v])
+    return None

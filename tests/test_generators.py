@@ -23,9 +23,14 @@ from mdclique.graph import MAX_VERTICES
 
 class TestCoprimeGraph:
     def test_adjacency_is_gcd_predicate(self):
-        g = coprime_graph(60)
-        for i, j in combinations(range(1, 61), 2):
-            assert g.has_edge(i - 1, j - 1) == (math.gcd(i, j) == 1)
+        # the reference: one gcd per pair of labels
+        for n in [*range(1, 151), 997, 1200]:
+            adj = [0] * n
+            for i, j in combinations(range(1, n + 1), 2):
+                if math.gcd(i, j) == 1:
+                    adj[i - 1] |= 1 << (j - 1)
+                    adj[j - 1] |= 1 << (i - 1)
+            assert coprime_graph(n).adj == adj, n
 
     def test_vertex_one_is_universal(self):
         g = coprime_graph(8)

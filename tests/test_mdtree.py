@@ -21,7 +21,7 @@ from mdclique import (
     verify_tree,
 )
 from mdclique.graph import iter_bits, vertex_mask
-from mdclique.mdtree import _components, _maximal_modules_avoiding, _reach
+from mdclique.mdtree import _components, _maximal_modules_avoiding, _module_closure, _reach
 from conftest import alternating_threshold
 
 HUB7_TREE = "Prime[Series[a,b,c],d,Parallel[e,f],g]"
@@ -373,6 +373,25 @@ class TestSearchKernels:
                 maximal = sorted(m for m in avoiding
                                  if not any(m != o and m & o == m for o in avoiding))
                 assert sorted(_maximal_modules_avoiding(g.adj, span, pivot)) == maximal
+
+    def test_module_closure_matches_bruteforce(self):
+        # the closure is the intersection of every module of the span that
+        # holds the seed
+        rng = random.Random(65)
+        for _ in range(300):
+            n = rng.randint(2, 11)
+            g = gnp(n, rng.choice([0.1, 0.3, 0.5, 0.7, 0.9]), seed=rng.randrange(10**9))
+            old_ids = sorted(rng.sample(range(n), rng.randint(2, n)))
+            span = vertex_mask(old_ids)
+            sub, _ = induced_subgraph(g, old_ids)
+            modules = [vertex_mask(old_ids[v] for v in m)
+                       for m in enumerate_modules_bruteforce(sub)]
+            seed = vertex_mask(rng.sample(old_ids, rng.randint(1, len(old_ids))))
+            expected = span
+            for m in modules:
+                if m & seed == seed:
+                    expected &= m
+            assert _module_closure(g.adj, span, seed) == expected
 
     def test_deep_alternating_threshold(self):
         n = 3000

@@ -26,6 +26,7 @@ from mdclique import (
     write_dimacs,
 )
 from mdclique import graph as graph_module
+from conftest import edges_by_bits, write_dimacs_per_edge
 
 
 @st.composite
@@ -67,9 +68,12 @@ def test_decompose_passes_verify_tree(g):
     assert verify_tree(g, decompose(g)) == []
 
 
-@given(graphs(min_n=0))
+@given(graphs(min_n=0, max_n=40))
 def test_dimacs_round_trip(g):
-    assert parse_dimacs(write_dimacs(g)) == g
+    text = write_dimacs(g)
+    assert text == write_dimacs_per_edge(g)
+    assert list(g.edges()) == edges_by_bits(g)
+    assert parse_dimacs(text) == g
 
 
 # a problem line, then lines of every kind with small numbers, in and out
