@@ -26,6 +26,12 @@ MAX_VERTICES = 1 << 16
 # by 11%.
 _CHUNK_CHARS = 1 << 14
 
+# _compress gathers dense rows a block at a time, each block's row matrix
+# and its transpose holding at most this many one-byte characters between
+# them. With the lists that build them and about 57 bytes per column slice,
+# a block's scratch peaks at 0.94 MiB at n = k = 4096.
+_GATHER_CHARS = 1 << 19
+
 
 class DimacsError(ValueError):
     """Malformed DIMACS input. `line` is the 1-based offending line number."""
@@ -248,22 +254,64 @@ def set_weight(g: Graph, s: Iterable[int]) -> int:
     return sum(g.weights[v] for v in iter_bits(mask))
 
 
+def _gather_dense(masks: list[int], n: int, cols: list[int]) -> list[int]:
+    """_compress on a block of row masks, by a double transposition.
+
+    The rows are formatted into one row-major matrix of binary digits,
+    most significant first, so column c is the strided slice
+    mat[n - 1 - c::n]. The requested columns, joined in reverse, form the
+    transposed block, in which each result row is again one strided slice
+    read by int(..., 2).
+    """
+    mat = "".join([format(mask, f"0{n}b") for mask in masks])
+    transposed = "".join([mat[n - 1 - c :: n] for c in reversed(cols)])
+    del mat
+    height = len(masks)
+    return [int(transposed[x::height], 2) for x in range(height)]
+
+
 def _compress(adj: list[int], rows: list[int], cols: list[int]) -> list[int]:
     """The submatrix of adj on the given rows and columns: bit j of entry i
-    is bit cols[j] of adj[rows[i]].
+    is bit cols[j] of adj[rows[i]]. Rows may repeat and may hold bits
+    outside cols; no symmetry is assumed.
 
-    Each row is formatted as a binary string of the full width len(adj)
-    (a row may hold bits outside cols) and its column characters are
-    gathered by one itemgetter, so a row costs a few C-level passes
-    instead of a Python loop over its bits.
+    A row with fewer than len(adj) / 64 bits is renamed bit by bit through
+    a table from column to position, so a sparse input costs O(n + m)
+    Python steps here. Every other row goes through `_gather_dense`, a
+    double transposition at C speed, a block of rows at a time. A block's
+    matrix and its transpose hold at most _GATHER_CHARS digits together:
+    the strings of a whole dense graph would take about 2 n (n + k) bytes
+    of scratch, 1 GiB at n = k = 16384.
     """
+    out = [0] * len(rows)
     if not cols:
-        # itemgetter() takes at least one index
-        return [0] * len(rows)
+        return out
     n = len(adj)
-    get = operator.itemgetter(*[n - 1 - c for c in reversed(cols)])
-    width = f"0{n}b"
-    return [int("".join(get(format(adj[r], width))), 2) for r in rows]
+    step = max(1, _GATHER_CHARS // (n + len(cols)))
+    # a row is sparse below n / 64 bits; the position table holds one
+    # position per column, so with a repeated column no row is sparse
+    sparse_below = n if len(set(cols)) == len(cols) else 0
+    place = None
+    for start in range(0, len(rows), step):
+        block = []
+        for i in range(start, min(start + step, len(rows))):
+            mask = adj[rows[i]]
+            if mask.bit_count() << 6 >= sparse_below:
+                block.append(i)
+            elif mask:
+                if place is None:
+                    place = dict(zip(cols, range(len(cols))))
+                renamed = 0
+                for c in iter_bits(mask):
+                    j = place.get(c)
+                    if j is not None:
+                        renamed |= 1 << j
+                out[i] = renamed
+        if block:
+            gathered = _gather_dense([adj[rows[i]] for i in block], n, cols)
+            for i, row in zip(block, gathered):
+                out[i] = row
+    return out
 
 
 def induced_subgraph(g: Graph, s: Iterable[int]) -> tuple[Graph, dict[int, int]]:

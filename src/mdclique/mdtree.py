@@ -18,13 +18,19 @@ on an explicit stack, so no tree depth meets the interpreter's recursion
 limit.
 
 Deep trees (threshold graphs reach depth n - 1) stay cheap because no
-level rescans its whole span. Every search is direction-optimising
-(Beamer et al., SC 2012): each round ORs the rows of the frontier or
-sweeps the still-unreached vertices, whichever set is smaller, so peeling
-one vertex off a large span costs about the small side. Each later
-component is searched only inside the still-unassigned rest. A span also
-knows its parent's kind: a child of a Parallel node is connected and a
-child of a Series node is co-connected, so that search is skipped.
+level rescans its whole span. The graph is first relabelled once by
+ascending degree. Each component search then starts at the rest's
+highest id, its highest-degree vertex, and each co-component search at
+its lowest, so the first search from a vertex of the large side reaches
+most of it in one round. Every search is direction-optimising (Beamer et
+al., SC 2012): each round ORs the rows of the frontier or sweeps the
+still-unreached vertices, whichever set is smaller, so peeling one vertex
+off a large span costs about the small side. Each later component is
+searched only inside the still-unassigned rest. A span also knows its
+parent's kind: a child of a Parallel node is connected and a child of a
+Series node is co-connected, so that search is skipped. Leaves map back
+to the input ids, so spans, child order and `serialize()` do not depend
+on the relabelling.
 
 It is not linear-time, but it is bitmask-fast in practice; the tree is
 validated by `verify_tree`, whose primality check uses plain module
@@ -182,16 +188,23 @@ def _reach(rows: list[int], start: int, within: int, flip: int = 0,
 
 
 def _components(adj: list[int], span: int, flip: int) -> list[int]:
-    """Connected components of the subgraph induced by span, as masks; with
-    flip = span, those of its complement (each row is XORed with flip).
-    No edge leaves a finished component, so each later search runs inside
-    the still-unassigned rest only."""
+    """Connected components of the subgraph induced by span, as masks
+    ordered by lowest vertex; with flip = span, those of its complement
+    (each row is XORed with flip). No edge leaves a finished component, so
+    each later search runs inside the still-unassigned rest only.
+
+    Component searches start at the rest's highest vertex, co-component
+    searches at its lowest: with ids in ascending degree order (see
+    `decompose`), that is the vertex most likely to reach the large side in
+    one round."""
     comps = []
     rest = span
     while rest:
-        comp = _reach(adj, rest & -rest, rest, flip)
+        seed = rest & -rest if flip else 1 << (rest.bit_length() - 1)
+        comp = _reach(adj, seed, rest, flip)
         comps.append(comp)
         rest &= ~comp
+    comps.sort(key=lambda c: c & -c)
     return comps
 
 
@@ -283,8 +296,9 @@ def _reaching_all(out: list[int], into: list[int]) -> int:
     return _reach(into, 1 << last, full, back=out)
 
 
-def _prime_children(adj: list[int], span: int) -> list[int]:
-    """Child spans of a prime node (span connected and co-connected).
+def _prime_children(adj: list[int], span: int, order: list[int]) -> list[int]:
+    """Child spans of a prime node (span connected and co-connected), in a
+    relabelled graph whose vertex v is vertex order[v] of the input.
 
     The children are the maximal proper modules. Partition refinement
     gives the maximal modules avoiding the pivot v, the classes M(G, v);
@@ -292,10 +306,12 @@ def _prime_children(adj: list[int], span: int) -> list[int]:
     G/M(G, v), class X forces class Y when Y tells v and X apart, so the
     smallest module holding v and X is v plus every class X reaches. X is
     a child exactly when that module is the whole span: when X reaches
-    every class.
+    every class. Any pivot gives the same children; the span's vertex of
+    lowest input id keeps the refinement's work independent of the
+    relabelling.
     """
-    pivot_bit = span & -span
-    pivot = pivot_bit.bit_length() - 1
+    pivot = min(iter_bits(span), key=order.__getitem__)
+    pivot_bit = 1 << pivot
     classes = _maximal_modules_avoiding(adj, span, pivot)
     full = (1 << len(classes)) - 1
     reps = [(cls & -cls).bit_length() - 1 for cls in classes]
@@ -318,8 +334,8 @@ def _prime_children(adj: list[int], span: int) -> list[int]:
     return children
 
 
-def _split(adj: list[int], span: int,
-           parent: NodeKind | None) -> tuple[NodeKind, list[int]]:
+def _split(adj: list[int], span: int, parent: NodeKind | None,
+           order: list[int]) -> tuple[NodeKind, list[int]]:
     """Kind and child spans of the node over a span of >= 2 vertices whose
     parent node has kind `parent` (None at the root). A child of a Parallel
     node is connected and a child of a Series node is co-connected, so
@@ -332,23 +348,25 @@ def _split(adj: list[int], span: int,
         cocomps = _components(adj, span, span)
         if len(cocomps) > 1:
             return NodeKind.SERIES, cocomps
-    return NodeKind.PRIME, _prime_children(adj, span)
+    return NodeKind.PRIME, _prime_children(adj, span, order)
 
 
-def _decompose_span(adj: list[int], span: int) -> MDNode:
-    """Tree of the span-induced subgraph. Each stack frame is an internal
-    node under construction: (kind, built children, pending child spans);
-    `parent` is the kind of the frame the current span was popped from."""
+def _decompose_span(adj: list[int], span: int, order: list[int]) -> MDNode:
+    """Tree of the span-induced subgraph of a relabelled graph whose vertex
+    v is vertex order[v] of the input; the nodes carry input ids. Each
+    stack frame is an internal node under construction: (kind, built
+    children, pending child spans); `parent` is the kind of the frame the
+    current span was popped from."""
     stack: list[tuple[NodeKind, list[MDNode], list[int]]] = []
     parent = None
     while True:
         if span & (span - 1):
-            kind, pending = _split(adj, span, parent)
+            kind, pending = _split(adj, span, parent, order)
             stack.append((kind, [], pending))
             span = pending.pop()
             parent = kind
             continue
-        node = MDNode(NodeKind.LEAF, vertex=span.bit_length() - 1)
+        node = MDNode(NodeKind.LEAF, vertex=order[span.bit_length() - 1])
         # hand the finished node to its parent, closing every frame that
         # has no pending span left, until one does
         while stack:
@@ -371,10 +389,17 @@ def decompose(g: Graph) -> MDTree:
     Single-vertex graphs decompose to a bare leaf root. Children of every
     internal node are ordered by smallest vertex id in their spans, so equal
     graphs yield identical trees.
+
+    The splitting runs on a copy of the graph relabelled by ascending
+    degree, ties by id, which steers the component searches (see
+    `_components`); the leaves map back to input ids.
     """
     if g.n < 1:
         raise ValueError("cannot decompose an empty graph")
-    return MDTree(root=_decompose_span(g.adj, g.full_mask), graph=g)
+    degree = [mask.bit_count() for mask in g.adj]
+    order = sorted(range(g.n), key=degree.__getitem__)
+    adj = _compress(g.adj, order, order)
+    return MDTree(root=_decompose_span(adj, g.full_mask, order), graph=g)
 
 
 def quotient(g: Graph, node: MDNode, child_weights: list[int]) -> Graph:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
 
 import pytest
 
@@ -17,7 +18,7 @@ from mdclique import (
     write_dimacs,
 )
 from mdclique import graph as graph_module
-from mdclique.graph import MAX_VERTICES, _compress
+from mdclique.graph import MAX_VERTICES, _compress, vertex_mask
 from conftest import edges_by_bits, first_asymmetry, write_dimacs_per_edge
 
 TRIANGLE = "p edge 3 3\ne 1 2\ne 2 3\ne 1 3\n"
@@ -368,6 +369,78 @@ class TestCompress:
         assert _compress(adj, [0, 1, 2, 3], [1]) == [1, 1, 1, 0]
         assert _compress(adj, [2, 0], [3, 0, 2]) == [0b111, 0b011]
         assert _compress([], [], []) == []
+
+    @staticmethod
+    def mixed_rows(rng, n):
+        """Rows of all three kinds: empty, sparse (fewer than n / 64 bits,
+        renamed bit by bit) and dense (gathered by transposition)."""
+        adj = []
+        for _ in range(n):
+            kind = rng.randrange(3)
+            if kind == 0:
+                adj.append(0)
+            elif kind == 1:
+                adj.append(vertex_mask(rng.sample(range(n), rng.randint(1, (n - 1) // 64))))
+            else:
+                adj.append(rng.getrandbits(n))
+        return adj
+
+    def test_sparse_and_dense_rows_in_one_call(self):
+        rng = random.Random(42)
+        for _ in range(40):
+            n = rng.randint(130, 400)
+            adj = self.mixed_rows(rng, n)
+            counts = [mask.bit_count() for mask in adj]
+            assert any(0 < c * 64 < n for c in counts) and any(c * 64 >= n for c in counts)
+            rows = rng.sample(range(n), n)
+            cols = rng.sample(range(n), rng.randint(1, n))
+            assert _compress(adj, rows, cols) == self.reference(adj, rows, cols)
+
+    def test_repeated_rows_and_columns(self):
+        rng = random.Random(43)
+        for _ in range(40):
+            n = rng.randint(130, 300)
+            adj = self.mixed_rows(rng, n)
+            rows = [rng.randrange(n) for _ in range(2 * n)]
+            cols = rng.sample(range(n), n // 2)
+            assert _compress(adj, rows, cols) == self.reference(adj, rows, cols)
+            repeated = cols + cols[:10]
+            assert _compress(adj, rows, repeated) == self.reference(adj, rows, repeated)
+
+    def test_empty_rows_and_empty_cols(self):
+        n = 200
+        adj = self.mixed_rows(random.Random(44), n)
+        assert _compress(adj, [], list(range(n))) == []
+        assert _compress(adj, list(range(n)), []) == [0] * n
+        assert _compress([0] * n, list(range(n)), list(range(n))) == [0] * n
+
+    @pytest.mark.parametrize("gather_chars", [1, 7, 300, 5000])
+    def test_many_blocks_in_one_call(self, monkeypatch, gather_chars):
+        monkeypatch.setattr(graph_module, "_GATHER_CHARS", gather_chars)
+        rng = random.Random(45)
+        for _ in range(10):
+            n = rng.randint(130, 260)
+            adj = self.mixed_rows(rng, n)
+            rows = [rng.randrange(n) for _ in range(n)]
+            cols = rng.sample(range(n), rng.randint(1, n))
+            assert _compress(adj, rows, cols) == self.reference(adj, rows, cols)
+
+    def test_dense_scratch_is_bounded(self):
+        # a whole 4096-row matrix of digits and its transpose would take
+        # about 32 MiB; a block of them stays under 1 MiB beside the output
+        n = 4096
+        rng = random.Random(46)
+        adj = [rng.getrandbits(n) & ~(1 << v) for v in range(n)]
+        ids = list(range(n))
+        tracemalloc.start()
+        try:
+            out = _compress(adj, ids, ids)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # what the call leaves allocated is its output
+        assert out[:3] == self.reference(adj, ids[:3], ids)
+        assert peak - kept < 1 << 20
 
 
 class TestInducedSubgraph:

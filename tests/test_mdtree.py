@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import time
 from collections import deque
 
 import pytest
@@ -20,7 +21,7 @@ from mdclique import (
     solve,
     verify_tree,
 )
-from mdclique.graph import iter_bits, vertex_mask
+from mdclique.graph import _compress, iter_bits, vertex_mask
 from mdclique.mdtree import _components, _maximal_modules_avoiding, _module_closure, _reach
 from conftest import alternating_threshold
 
@@ -402,6 +403,24 @@ class TestSearchKernels:
         sol, _ = solve(g)
         assert sol.weight == n // 2 + 1
         assert sol.vertices == (0, *range(1, n, 2))
+
+    def test_deep_shuffled_threshold_under_five_seconds(self):
+        # on random ids the lowest id of a span lies in its large side,
+        # which a search seeded there would walk at every level
+        n = 8000
+        g = alternating_threshold(n)
+        ids = list(range(n))
+        random.Random(81).shuffle(ids)
+        shuffled = Graph._from_masks(n, _compress(g.adj, ids, ids))
+        started = time.perf_counter()
+        t = decompose(shuffled)
+        elapsed = time.perf_counter() - started
+        assert t.depth() == n - 1
+        assert elapsed < 5.0
+        sol, _ = solve(shuffled)
+        assert sol.weight == n // 2 + 1
+        new_id = {old: new for new, old in enumerate(ids)}
+        assert sol.vertices == tuple(sorted(new_id[v] for v in (0, *range(1, n, 2))))
 
 
 class TestVerifyTree:

@@ -1,6 +1,6 @@
 """Property tests: the tree fold and the colour-bound search against the
-brute-force oracle, tree validity, DIMACS round trips, and the parser on
-arbitrary input."""
+brute-force oracle, tree validity and its independence of vertex ids,
+DIMACS round trips, and the parser on arbitrary input."""
 from __future__ import annotations
 
 import warnings
@@ -13,6 +13,7 @@ from mdclique import (
     DimacsError,
     DimacsWarning,
     Graph,
+    NodeKind,
     SolverConfig,
     brute_force_clique,
     decompose,
@@ -26,6 +27,7 @@ from mdclique import (
     write_dimacs,
 )
 from mdclique import graph as graph_module
+from mdclique.graph import iter_bits, vertex_mask
 from conftest import edges_by_bits, write_dimacs_per_edge
 
 
@@ -66,6 +68,25 @@ def test_colour_bound_matches_brute_force(g, reduce_dominated):
 @given(graphs())
 def test_decompose_passes_verify_tree(g):
     assert verify_tree(g, decompose(g)) == []
+
+
+def kinds_and_spans(tree, relabel) -> set[tuple[NodeKind, int]]:
+    """Every node of the tree as (kind, span), the span mapped through
+    relabel, a sequence from the tree's vertex ids to other ids."""
+    return {(node.kind, vertex_mask(relabel[v] for v in iter_bits(node.span)))
+            for node in tree.iter_nodes()}
+
+
+@given(graphs(max_n=30), st.data())
+def test_decompose_invariant_under_relabelling(g, data):
+    # decompose's degree order, search seeds and pivot all depend on the
+    # ids; the strong modules and their kinds must not
+    perm = data.draw(st.permutations(range(g.n)))
+    h = Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+    inverse = [0] * g.n
+    for v, image in enumerate(perm):
+        inverse[image] = v
+    assert kinds_and_spans(decompose(h), inverse) == kinds_and_spans(decompose(g), range(g.n))
 
 
 @given(graphs(min_n=0, max_n=40))
