@@ -40,12 +40,8 @@ def solve_node(g: Graph, node: MDNode, config: SolverConfig = DEFAULT_CONFIG) ->
     time limit applies to each prime-node quotient solve separately; the
     status is TIMED_OUT when any of them hit it (the weight is then a valid
     lower bound)."""
-    # quotient solves always use the colour bound, which closes dense prime
-    # quotients that the suffix bound of plain branch and bound cannot, and
-    # the dominance reduction, which is sound for any instance. It does not
-    # change the colour search's node count on the benchmark's quotients; it
-    # shrinks the search's reindexing gather (coprime 1200: 642 rows to 109)
-    prime_config = replace(config, reduce_dominated=True, bound=Bound.COLOUR)
+    # the colour bound closes dense prime quotients that the suffix bound cannot
+    prime_config = replace(config, bound=Bound.COLOUR)
     order = [node]
     for parent in order:
         order.extend(parent.children)

@@ -69,10 +69,12 @@ class MDNode:
         self.vertex = vertex
         self.children = children
         if kind is NodeKind.LEAF:
-            assert vertex is not None and not children
+            if vertex is None or children:
+                raise ValueError("a leaf needs a vertex and no children")
             self.span = 1 << vertex
         else:
-            assert vertex is None and len(children) >= 2
+            if vertex is not None or len(children) < 2:
+                raise ValueError(f"a {kind.value} node needs >= 2 children and no vertex")
             span = 0
             for child in children:
                 span |= child.span

@@ -44,12 +44,6 @@ class SolverConfig:
     """time_limit is in seconds; 0 means unlimited. The limit applies per
     solver call and is checked every 4096 search nodes.
 
-    reduce_dominated preprocesses the instance by deleting vertices whose
-    candidacy is dominated by a non-adjacent peer (see _dominance_survivors).
-    It preserves the optimum weight and a witness but makes the search run
-    on the surviving subproblem, so it is off by default: the default solver
-    is the unmodified suffix-bound branch and bound used as the baseline.
-
     bound picks the search. SUFFIX, the default, is Östergård's suffix-bound
     search, the paper's baseline for plain branch and bound. COLOUR is the
     greedy-colouring search; it prunes far better on dense graphs, and the
@@ -57,7 +51,6 @@ class SolverConfig:
 
     time_limit: float = 0.0
     ordering: Ordering = Ordering.DEGREE_DESC
-    reduce_dominated: bool = False
     bound: Bound = Bound.SUFFIX
 
     def __post_init__(self):
@@ -84,34 +77,6 @@ def order_vertices(g: Graph, strategy: Ordering) -> list[int]:
     return ids
 
 
-def _dominance_survivors(g: Graph) -> int:
-    """Mask of vertices left after iterated dominance deletion.
-
-    A vertex u may be deleted while some non-adjacent alive v satisfies
-    N(u) ∩ alive ⊆ N(v) ∩ alive and w(u) <= w(v): any clique through u maps
-    to one through v of at least the same weight (v is compatible with
-    everything u is, and cannot already be in a clique containing u). Each
-    deletion is justified against the current alive set, so applying them
-    one at a time to a fixpoint preserves the maximum weight and keeps a
-    witness among the survivors.
-    """
-    adj = g.adj
-    weights = g.weights
-    alive = g.full_mask
-    changed = True
-    while changed:
-        changed = False
-        for u in iter_bits(alive):
-            au = adj[u] & alive
-            wu = weights[u]
-            for v in iter_bits(alive & ~adj[u] & ~(1 << u)):
-                if wu <= weights[v] and au & ~adj[v] == 0:
-                    alive &= ~(1 << u)
-                    changed = True
-                    break
-    return alive
-
-
 class CliqueSearch:
     """One branch-and-bound run over a fixed graph and config.
 
@@ -124,8 +89,7 @@ class CliqueSearch:
 
     def __init__(self, g: Graph, config: SolverConfig = DEFAULT_CONFIG):
         self.config = config
-        alive = _dominance_survivors(g) if config.reduce_dominated else g.full_mask
-        self.order = [v for v in order_vertices(g, config.ordering) if alive >> v & 1]
+        self.order = order_vertices(g, config.ordering)
         # adjacency and weights reindexed into order space: bit b of
         # _radj[i] means order[i] ~ order[b], so the lowest set bit of a
         # candidate mask is the earliest order position in it

@@ -423,6 +423,21 @@ class TestSearchKernels:
         assert sol.vertices == tuple(sorted(new_id[v] for v in (0, *range(1, n, 2))))
 
 
+class TestMDNode:
+    # checked by raising, not by assert, so that python -O keeps the checks
+    @pytest.mark.parametrize("kind, vertex, n_children", [
+        (NodeKind.LEAF, None, 0),
+        (NodeKind.LEAF, 0, 2),
+        (NodeKind.PRIME, None, 0),
+        (NodeKind.SERIES, None, 1),
+        (NodeKind.PARALLEL, 0, 2),
+    ])
+    def test_malformed_node_rejected(self, kind, vertex, n_children):
+        children = tuple(MDNode(NodeKind.LEAF, vertex=v) for v in range(1, n_children + 1))
+        with pytest.raises(ValueError):
+            MDNode(kind, vertex=vertex, children=children)
+
+
 class TestVerifyTree:
     def test_decompose_output_is_valid(self, hub7):
         assert verify_tree(hub7, decompose(hub7)) == []

@@ -56,10 +56,9 @@ def test_solve_matches_brute_force(g):
     assert set_weight(g, solution.vertices) == solution.weight
 
 
-@given(graphs(), st.booleans())
-def test_colour_bound_matches_brute_force(g, reduce_dominated):
-    config = SolverConfig(bound=Bound.COLOUR, reduce_dominated=reduce_dominated)
-    solution = max_weight_clique(g, config)
+@given(graphs())
+def test_colour_bound_matches_brute_force(g):
+    solution = max_weight_clique(g, SolverConfig(bound=Bound.COLOUR))
     assert solution.weight == brute_force_clique(g).weight
     assert is_clique(g, solution.vertices)
     assert set_weight(g, solution.vertices) == solution.weight

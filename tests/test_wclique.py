@@ -93,16 +93,6 @@ class TestMaxWeightClique:
         runs = {max_weight_clique(g) for _ in range(3)}
         assert len(runs) == 1
 
-    def test_dominance_reduction_agrees(self):
-        rng = random.Random(99)
-        cfg = SolverConfig(reduce_dominated=True)
-        for _ in range(60):
-            g = weighted_gnp(rng.randint(0, 14), rng.random(), seed=rng.randint(0, 10**9))
-            reduced = max_weight_clique(g, cfg)
-            assert reduced.weight == brute_force_clique(g).weight
-            assert is_clique(g, reduced.vertices)
-            assert set_weight(g, reduced.vertices) == reduced.weight
-
 
 class TestSearchState:
     def test_suffix_bounds_match_suffix_optima(self):
@@ -131,12 +121,6 @@ class TestSearchState:
         search = CliqueSearch(g)
         search.run()
         assert search.suffix_best[-1] == g.weights[search.order[-1]]
-
-    def test_suffix_bounds_hold_under_reduction(self):
-        g = weighted_gnp(14, 0.5, seed=778)
-        search = CliqueSearch(g, SolverConfig(reduce_dominated=True))
-        sol = search.run()
-        assert search.suffix_best[0] == sol.weight == brute_force_clique(g).weight
 
 
 class TestTimeout:
@@ -191,7 +175,6 @@ class TestSuffixRecursionLimit:
 
 
 COLOUR = SolverConfig(bound=Bound.COLOUR)
-COLOUR_REDUCED = SolverConfig(bound=Bound.COLOUR, reduce_dominated=True)
 
 
 def assert_witness(g, sol):
@@ -204,18 +187,17 @@ class TestColourBound:
     @pytest.mark.parametrize("chunk", range(10))
     def test_matches_bruteforce(self, chunk):
         # 100 graphs per chunk with n <= 20: unit weights, or weights up to
-        # 10 or 200, each searched with and without the dominance reduction
+        # 10 or 200
         rng = random.Random(4000 + chunk)
         for _ in range(100):
             n, p, seed = rng.randint(0, 20), rng.random(), rng.randint(0, 10**9)
             max_weight = rng.choice([1, 10, 200])
             g = gnp(n, p, seed) if max_weight == 1 else weighted_gnp(n, p, seed, max_weight)
             expected = brute_force_clique(g).weight
-            for config in (COLOUR, COLOUR_REDUCED):
-                sol = max_weight_clique(g, config)
-                assert sol.status is SolveStatus.OPTIMAL
-                assert sol.weight == expected
-                assert_witness(g, sol)
+            sol = max_weight_clique(g, COLOUR)
+            assert sol.status is SolveStatus.OPTIMAL
+            assert sol.weight == expected
+            assert_witness(g, sol)
 
     def test_matches_suffix_search(self):
         # p stops at 0.85: above it the suffix search alone takes seconds
@@ -230,9 +212,10 @@ class TestColourBound:
 
     def test_search_state_after_run(self):
         g = weighted_gnp(40, 0.6, seed=4300)
-        search = CliqueSearch(g, COLOUR_REDUCED)
+        search = CliqueSearch(g, COLOUR)
         sol = search.run()
-        assert set(sol.vertices) <= set(search.order)
+        assert sorted(search.order) == list(range(g.n))
+        assert_witness(g, sol)
         assert search.nodes >= 1
         # the suffix bounds belong to the suffix search alone
         assert search.suffix_best == [0] * len(search.order)
