@@ -5,11 +5,12 @@ from __future__ import annotations
 
 import csv
 import io
+import warnings
 from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Iterable
 
-from .graph import Graph, is_clique, parse_dimacs, set_weight
+from .graph import DimacsWarning, Graph, is_clique, parse_dimacs, set_weight
 from .mdsolve import solve
 from .wclique import SolverConfig
 
@@ -47,8 +48,13 @@ def error_record(instance: str, mode: str) -> BenchRecord:
 
 def load_instance(path: str | Path) -> Graph:
     """Read and parse one DIMACS file. Raises OSError, DimacsError, or
-    ValueError for a graph with no vertices, which has nothing to solve."""
-    g = parse_dimacs(Path(path).read_bytes())
+    ValueError for a graph with no vertices, which has nothing to solve.
+    Each warning from the parser is issued again with the path in front."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", DimacsWarning)
+        g = parse_dimacs(Path(path).read_bytes())
+    for w in caught:
+        warnings.warn(f"{path}: {w.message}", w.category, stacklevel=2)
     if g.n < 1:
         raise ValueError("graph has no vertices")
     return g

@@ -2,18 +2,20 @@
 
 Exit codes: 0 success (solve: optimum proven), 1 error, 2 timed out. A
 reader that closes standard output early (`mdclique md x.clq | head -c 1`)
-also gives exit code 1, with nothing on standard error.
+also gives exit code 1, with nothing on standard error. Each file's parser
+warnings go to standard error as `warning: <path>: <message>` lines.
 """
 from __future__ import annotations
 
 import argparse
 import os
 import sys
+import warnings
 from contextlib import nullcontext
 from pathlib import Path
 
 from . import bench as bench_mod
-from .graph import SolveStatus, write_dimacs
+from .graph import DimacsWarning, SolveStatus, write_dimacs
 from .generators import coprime_graph, gnp, random_cograph
 from .mdsolve import solve
 from .mdtree import decompose, verify_tree
@@ -169,14 +171,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    try:
-        code = args.func(args)
-        sys.stdout.flush()
-    except BrokenPipeError:
-        # the reader is gone; aim stdout at devnull so that the
-        # interpreter's final flush of the buffered rest cannot raise again
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return 1
+    with warnings.catch_warnings():
+        # "always": the default filter drops a repeat from the same source line
+        warnings.simplefilter("always", DimacsWarning)
+        warnings.showwarning = lambda message, *_: print(
+            f"warning: {message}", file=sys.stderr)
+        try:
+            code = args.func(args)
+            sys.stdout.flush()
+        except BrokenPipeError:
+            # the reader is gone; aim stdout at devnull so that the
+            # interpreter's final flush of the buffered rest cannot raise again
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            return 1
     return code
 
 

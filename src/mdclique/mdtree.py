@@ -26,11 +26,9 @@ most of it in one round. Every search is direction-optimising (Beamer et
 al., SC 2012): each round ORs the rows of the frontier or sweeps the
 still-unreached vertices, whichever set is smaller, so peeling one vertex
 off a large span costs about the small side. Each later component is
-searched only inside the still-unassigned rest. A span also knows its
-parent's kind: a child of a Parallel node is connected and a child of a
-Series node is co-connected, so that search is skipped. Leaves map back
-to the input ids, so spans, child order and `serialize()` do not depend
-on the relabelling.
+searched only inside the still-unassigned rest. Leaves map back to the
+input ids, so spans, child order and `serialize()` do not depend on the
+relabelling.
 
 It is not linear-time, but it is bitmask-fast in practice; the tree is
 validated by `verify_tree`, whose primality check uses plain module
@@ -298,9 +296,8 @@ def _reaching_all(out: list[int], into: list[int]) -> int:
     return _reach(into, 1 << last, full, back=out)
 
 
-def _prime_children(adj: list[int], span: int, order: list[int]) -> list[int]:
-    """Child spans of a prime node (span connected and co-connected), in a
-    relabelled graph whose vertex v is vertex order[v] of the input.
+def _prime_children(adj: list[int], span: int) -> list[int]:
+    """Child spans of a prime node (span connected and co-connected).
 
     The children are the maximal proper modules. Partition refinement
     gives the maximal modules avoiding the pivot v, the classes M(G, v);
@@ -308,12 +305,10 @@ def _prime_children(adj: list[int], span: int, order: list[int]) -> list[int]:
     G/M(G, v), class X forces class Y when Y tells v and X apart, so the
     smallest module holding v and X is v plus every class X reaches. X is
     a child exactly when that module is the whole span: when X reaches
-    every class. Any pivot gives the same children; the span's vertex of
-    lowest input id keeps the refinement's work independent of the
-    relabelling.
+    every class. Any pivot gives the same children.
     """
-    pivot = min(iter_bits(span), key=order.__getitem__)
-    pivot_bit = 1 << pivot
+    pivot_bit = span & -span
+    pivot = pivot_bit.bit_length() - 1
     classes = _maximal_modules_avoiding(adj, span, pivot)
     full = (1 << len(classes)) - 1
     reps = [(cls & -cls).bit_length() - 1 for cls in classes]
@@ -336,37 +331,28 @@ def _prime_children(adj: list[int], span: int, order: list[int]) -> list[int]:
     return children
 
 
-def _split(adj: list[int], span: int, parent: NodeKind | None,
-           order: list[int]) -> tuple[NodeKind, list[int]]:
-    """Kind and child spans of the node over a span of >= 2 vertices whose
-    parent node has kind `parent` (None at the root). A child of a Parallel
-    node is connected and a child of a Series node is co-connected, so
-    those searches are skipped."""
-    if parent is not NodeKind.PARALLEL:
-        comps = _components(adj, span, 0)
-        if len(comps) > 1:
-            return NodeKind.PARALLEL, comps
-    if parent is not NodeKind.SERIES:
-        cocomps = _components(adj, span, span)
-        if len(cocomps) > 1:
-            return NodeKind.SERIES, cocomps
-    return NodeKind.PRIME, _prime_children(adj, span, order)
+def _split(adj: list[int], span: int) -> tuple[NodeKind, list[int]]:
+    """Kind and child spans of the node over a span of >= 2 vertices."""
+    comps = _components(adj, span, 0)
+    if len(comps) > 1:
+        return NodeKind.PARALLEL, comps
+    cocomps = _components(adj, span, span)
+    if len(cocomps) > 1:
+        return NodeKind.SERIES, cocomps
+    return NodeKind.PRIME, _prime_children(adj, span)
 
 
 def _decompose_span(adj: list[int], span: int, order: list[int]) -> MDNode:
     """Tree of the span-induced subgraph of a relabelled graph whose vertex
     v is vertex order[v] of the input; the nodes carry input ids. Each
     stack frame is an internal node under construction: (kind, built
-    children, pending child spans); `parent` is the kind of the frame the
-    current span was popped from."""
+    children, pending child spans)."""
     stack: list[tuple[NodeKind, list[MDNode], list[int]]] = []
-    parent = None
     while True:
         if span & (span - 1):
-            kind, pending = _split(adj, span, parent, order)
+            kind, pending = _split(adj, span)
             stack.append((kind, [], pending))
             span = pending.pop()
-            parent = kind
             continue
         node = MDNode(NodeKind.LEAF, vertex=order[span.bit_length() - 1])
         # hand the finished node to its parent, closing every frame that
@@ -376,7 +362,6 @@ def _decompose_span(adj: list[int], span: int, order: list[int]) -> MDNode:
             built.append(node)
             if pending:
                 span = pending.pop()
-                parent = kind
                 break
             stack.pop()
             built.sort(key=lambda c: c.span & -c.span)

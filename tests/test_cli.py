@@ -111,6 +111,29 @@ class TestTimeLimitFlag:
         assert captured.err == f"error: time limit must be >= 0, got {float(limit)}\n"
 
 
+class TestDimacsWarnings:
+    MISMATCH = "p edge 3 5\ne 1 2\ne 2 3\n"
+
+    def test_solve_names_the_file(self, tmp_path, capsys):
+        path = tmp_path / "short.clq"
+        path.write_text(self.MISMATCH)
+        rc = main(["solve", str(path)])
+        assert rc == 0
+        assert capsys.readouterr().err == (
+            f"warning: {path}: problem line declares 5 edges, file has 2\n"
+        )
+
+    def test_bench_warns_for_every_file(self, tmp_path, capsys):
+        paths = [tmp_path / "a.clq", tmp_path / "b.clq"]
+        for path in paths:
+            path.write_text(self.MISMATCH)
+        rc = main(["bench", str(tmp_path), "--modes", "md"])
+        assert rc == 0
+        assert capsys.readouterr().err == "".join(
+            f"warning: {path}: problem line declares 5 edges, file has 2\n" for path in paths
+        )
+
+
 class TestMdCommand:
     def test_tree_and_stats(self, hub7_path, capsys):
         rc = main(["md", str(hub7_path)])
