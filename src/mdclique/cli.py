@@ -3,7 +3,10 @@
 Exit codes: 0 success (solve: optimum proven), 1 error, 2 timed out. A
 reader that closes standard output early (`mdclique md x.clq | head -c 1`)
 also gives exit code 1, with nothing on standard error. Each file's parser
-warnings go to standard error as `warning: <path>: <message>` lines.
+warnings go to standard error as `warning: <path>: <message>` lines. A
+command that runs out of memory ends with the one line
+`error: <path>: out of memory` (`error: out of memory` for gen and bench)
+and exit code 1.
 """
 from __future__ import annotations
 
@@ -176,6 +179,7 @@ def main(argv: list[str] | None = None) -> int:
         warnings.simplefilter("always", DimacsWarning)
         warnings.showwarning = lambda message, *_: print(
             f"warning: {message}", file=sys.stderr)
+        out_of_memory = False
         try:
             code = args.func(args)
             sys.stdout.flush()
@@ -184,6 +188,13 @@ def main(argv: list[str] | None = None) -> int:
             # interpreter's final flush of the buffered rest cannot raise again
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
             return 1
+        except MemoryError:
+            out_of_memory = True
+    if out_of_memory:
+        # reported only here, once the traceback and the frames it held
+        # alive, with the memory they used, are gone
+        path = getattr(args, "path", None)
+        return _fail(f"{path}: out of memory" if path else "out of memory")
     return code
 
 

@@ -16,14 +16,16 @@ from typing import Iterable, Iterator, Sequence
 
 # largest vertex count parse_dimacs accepts: the bitset adjacency of a dense
 # graph takes about n * n / 8 bytes, 512 MiB at this bound, and the parser
-# allocates its per-vertex lists and its id table before it reads any edge
+# allocates its per-vertex lists and its id table before it reads any edge.
+# A dense edge block is read into an n * n byte matrix, which is allocated
+# only when it is at most twice the size of the block's text.
 MAX_VERTICES = 1 << 16
 
 # parse_dimacs takes its edge lines in chunks of at least this many
 # characters, each ending at a line end. A chunk's tokens take about 13
-# bytes per character, so the chunk bounds the parse's extra memory; chunks
-# of 1 << 18 were no faster and raised the dense-random benchmark's peak RSS
-# by 11%.
+# bytes per character, so the chunk bounds the parse's extra memory beside
+# the dense block's byte matrix; chunks of 1 << 18 were no faster and raised
+# the dense-random benchmark's peak RSS by 11%.
 _CHUNK_CHARS = 1 << 14
 
 # _compress gathers dense rows a block at a time, each block's row matrix
@@ -330,14 +332,22 @@ def induced_subgraph(g: Graph, s: Iterable[int]) -> tuple[Graph, dict[int, int]]
     return sub, {old: new for new, old in enumerate(old_ids)}
 
 
-def _read_edges(chunk: str, lines: int, ids: dict[str, int], adj: list[int]) -> bool:
-    """Set the edges of a chunk of `lines` lines in adj and return True when
-    every line is exactly `e <u> <v>`, with u and v keys of ids and u != v.
-    Otherwise return False and leave adj untouched.
+def _read_edges(
+    chunk: str, lines: int, ids: dict[str, int], adj: list[int],
+    rows: list[memoryview] | None,
+) -> bool:
+    """Set the edges of a chunk of `lines` lines and return True when every
+    line is exactly `e <u> <v>`, with u and v keys of ids and u != v.
+    Otherwise return False and set nothing.
 
     Every line starts with an `e` token, every token at a position 0 mod 3
     is `e` and every other token is an id, which together force exactly
     three tokens per line.
+
+    Without rows, an edge ORs both of its bits into adj. With rows, the
+    rows of parse_dimacs's byte matrix, an edge sets the one byte
+    rows[u][v] to `1`, so no per-edge int is allocated; the caller adds
+    the mirrored half from the matrix's columns.
     """
     if not (chunk.isascii() and chunk.startswith("e") and chunk.count("\ne") == lines - 1):
         return False
@@ -351,9 +361,13 @@ def _read_edges(chunk: str, lines: int, ids: dict[str, int], adj: list[int]) -> 
         return False
     if any(map(operator.eq, us, vs)):
         return False
-    for u, v in zip(us, vs):
-        adj[u] |= 1 << v
-        adj[v] |= 1 << u
+    if rows is None:
+        for u, v in zip(us, vs):
+            adj[u] |= 1 << v
+            adj[v] |= 1 << u
+    else:
+        for u, v in zip(us, vs):
+            rows[u][v] = 49  # ord("1")
     return True
 
 
@@ -367,6 +381,13 @@ def parse_dimacs(data: str | bytes) -> Graph:
     hold any bytes; any other line must be ASCII. The declared edge count
     is advisory: a mismatch warns (DimacsWarning) instead of failing. At
     most MAX_VERTICES vertices are accepted.
+
+    A dense edge block, one with n * n at most twice the number of
+    characters from the first edge line to the end, is read into one
+    transient n * n matrix of ASCII digits, byte u * n + v set for a line
+    `e <u+1> <v+1>`. Row u of the adjacency is then the row u and the
+    column u of that matrix, each read by int(..., 2), ORed with the bits
+    that the line loop set. A sparse block ORs two bits per edge instead.
     """
     if isinstance(data, bytes):
         # latin-1 maps every byte to one character, so decoding cannot fail
@@ -376,13 +397,16 @@ def parse_dimacs(data: str | bytes) -> Graph:
     weights: list[int] = []
     weighted = 0
     declared_m = 0
+    mat = bytearray()
 
     def unread_lines() -> Iterator[tuple[int, str]]:
         """The numbered lines that `_read_edges` leaves to the loop below,
         which alone reports errors. From the first line that starts with
         `e`, the text is cut at line ends into chunks and each chunk is
-        offered to `_read_edges` whole; n and adj are read only after the
-        loop has read every line before that first one."""
+        offered to `_read_edges` whole; n and adj are read, and mat made
+        for a dense block, only after the loop has read every line before
+        that first one."""
+        nonlocal mat
         if data.startswith("e"):
             pos = 0
         else:
@@ -391,6 +415,11 @@ def parse_dimacs(data: str | bytes) -> Graph:
             yield from enumerate(data[: pos - 1].split("\n"), start=1)
         # a miss rejects an id out of range and a form like `01` or `+1`
         ids = {str(v + 1): v for v in range(n)}
+        rows = None
+        if 0 < n and n * n <= 2 * (len(data) - pos):
+            mat = bytearray(b"0") * (n * n)
+            view = memoryview(mat)
+            rows = [view[u * n : (u + 1) * n] for u in range(n)]
         line_no = data.count("\n", 0, pos) + 1
         while pos < len(data):
             end = data.find("\n", min(pos + _CHUNK_CHARS, len(data)) - 1)
@@ -398,7 +427,7 @@ def parse_dimacs(data: str | bytes) -> Graph:
                 end = len(data)
             chunk = data[pos:end]
             lines = chunk.count("\n") + 1
-            if not _read_edges(chunk, lines, ids, adj):
+            if not _read_edges(chunk, lines, ids, adj, rows):
                 yield from enumerate(chunk.split("\n"), start=line_no)
             line_no += lines
             pos = end + 1
@@ -464,6 +493,9 @@ def parse_dimacs(data: str | bytes) -> Graph:
             raise DimacsError(line_no, f"unrecognized line: {line!r}")
     if n < 0:
         raise DimacsError(max(1, data.count("\n") + 1), "missing problem line")
+    if mat:
+        for u in range(n):
+            adj[u] |= int(mat[u * n : (u + 1) * n][::-1], 2) | int(mat[u::n][::-1], 2)
     g = Graph._from_masks(n, adj, weights)
     if g.m != declared_m:
         warnings.warn(

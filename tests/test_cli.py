@@ -222,6 +222,13 @@ class TestGenCommand:
         assert not out_path.exists()
 
 
+def _child_env() -> dict[str, str]:
+    """The environment for a child Python that imports this mdclique."""
+    src = str(Path(mdclique.__file__).resolve().parent.parent)
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 class TestClosedStdout:
     """A reader that has gone away, as in `mdclique md x.clq | head -c 1`,
     ends the command with exit code 1 and no traceback."""
@@ -231,9 +238,6 @@ class TestClosedStdout:
     ])
     def test_exit_1_with_empty_stderr(self, tmp_path, command):
         (tmp_path / "coprime300.clq").write_text(write_dimacs(coprime_graph(300)))
-        src = str(Path(mdclique.__file__).resolve().parent.parent)
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")])))
         # the read end is closed before the child starts, so its first
         # write to stdout fails however fast it runs
         read_end, write_end = os.pipe()
@@ -241,9 +245,32 @@ class TestClosedStdout:
         try:
             result = subprocess.run(
                 [sys.executable, "-m", "mdclique", *command], cwd=tmp_path,
-                stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60,
+                stdout=write_end, stderr=subprocess.PIPE, env=_child_env(), timeout=60,
             )
         finally:
             os.close(write_end)
         assert result.returncode == 1
         assert result.stderr == b""
+
+
+class TestOutOfMemory:
+    """A command that runs out of memory ends with one error line and exit
+    code 1, not a traceback. The child lowers its own address-space limit
+    to 256 MiB; decomposing the edgeless graph at the vertex limit peaks
+    near 600 MB, so the limit trips within a few seconds."""
+
+    @pytest.mark.parametrize("command", ["solve", "md"])
+    def test_one_error_line(self, tmp_path, command):
+        (tmp_path / "edgeless.clq").write_text(f"p edge {MAX_VERTICES} 0\n")
+        child = (
+            "import resource, sys\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (256 << 20, 256 << 20))\n"
+            "from mdclique.cli import main\n"
+            "sys.exit(main(sys.argv[1:]))\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", child, command, "edgeless.clq"], cwd=tmp_path,
+            capture_output=True, env=_child_env(), timeout=60,
+        )
+        assert result.returncode == 1
+        assert result.stderr == b"error: edgeless.clq: out of memory\n"

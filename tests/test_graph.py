@@ -206,23 +206,31 @@ class TestParseDimacs:
             parse_dimacs("p edge 2 2\ne 1 2\ne 2 1\n")
 
 
-@pytest.fixture(params=[None, 1 << 20], ids=["default-chunks", "one-chunk"])
-def coprime_lines(request, monkeypatch):
-    """The lines of coprime_graph(300)'s DIMACS text (254 kB, 27,398
-    lines), with the parser's chunk size at its default, which puts chunk
-    boundaries all through the edge block, and at a size that holds the
-    whole block in one chunk."""
-    if request.param is not None:
-        monkeypatch.setattr(graph_module, "_CHUNK_CHARS", request.param)
-    return write_dimacs(coprime_graph(300)).split("\n")
+@pytest.fixture(params=[
+    ("dense", None), ("dense", 1 << 20), ("sparse", None), ("sparse", 1 << 20),
+], ids=["default-chunks", "one-chunk", "sparse-default-chunks", "sparse-one-chunk"])
+def edge_block(request, monkeypatch):
+    """A graph and the lines of its DIMACS text, with the parser's chunk
+    size at its default, which puts chunk boundaries all through the edge
+    block, and at a size that holds the whole block in one chunk.
+
+    The dense graph, coprime_graph(300) (254 kB, 27,398 lines), is read
+    through the parser's byte matrix; the sparse one, gnp(3000, 0.0004,
+    seed=5) (20 kB, two default chunks), by ORing two bits per edge."""
+    kind, chunk_chars = request.param
+    if chunk_chars is not None:
+        monkeypatch.setattr(graph_module, "_CHUNK_CHARS", chunk_chars)
+    g = coprime_graph(300) if kind == "dense" else gnp(3000, 0.0004, seed=5)
+    return g, write_dimacs(g).split("\n")
 
 
 class TestParseDeepEdgeLines:
-    def test_errors_report_their_line(self, coprime_lines):
-        k = 2 * len(coprime_lines) // 3
+    def test_errors_report_their_line(self, edge_block):
+        g, block = edge_block
+        k = 2 * len(block) // 3
         for bad, message in [
             ("e 5", "malformed edge line: 'e 5'"),
-            ("e 1 301", "edge endpoint out of range 1..300"),
+            (f"e 1 {g.n + 1}", f"edge endpoint out of range 1..{g.n}"),
             ("e 7 7", "self-loop at vertex 7"),
             ("e 1 2 e 3 4", "malformed edge line: 'e 1 2 e 3 4'"),
             # with a blank line after it, the chunk's token count is still
@@ -232,7 +240,7 @@ class TestParseDeepEdgeLines:
             # str.split() takes a no-break space for a separator
             ("e 1\xa02", "non-ASCII character in line: 'e 1\\xa02'"),
         ]:
-            lines = list(coprime_lines)
+            lines = list(block)
             lines.insert(k - 1, bad)
             with pytest.raises(DimacsError) as caught:
                 parse_dimacs("\n".join(lines))
@@ -246,18 +254,69 @@ class TestParseDeepEdgeLines:
         with pytest.raises(DimacsError, match="^line 4: malformed edge line: 'e 1 2 e 3 4'$"):
             parse_dimacs("p edge 4 0\ne 1 2\n\ne 1 2 e 3 4\n")
 
-    def test_comment_and_blank_lines_mid_block(self, coprime_lines):
-        k = len(coprime_lines) // 2
-        lines = coprime_lines[:k] + ["c a comment in the edge block", "", "\t"] + coprime_lines[k:]
-        assert parse_dimacs("\n".join(lines)) == coprime_graph(300)
+    def test_comment_and_blank_lines_mid_block(self, edge_block):
+        g, block = edge_block
+        k = len(block) // 2
+        lines = block[:k] + ["c a comment in the edge block", "", "\t"] + block[k:]
+        assert parse_dimacs("\n".join(lines)) == g
 
     @pytest.mark.parametrize("form", ["e 0{} {}", "e +{} {}", "e {} 0{}", "\te {} {}", "  e\t{}\t{}"])
-    def test_unusual_edge_forms_accepted(self, coprime_lines, form):
-        k = len(coprime_lines) // 2
-        _, u, v = coprime_lines[k].split()
-        lines = list(coprime_lines)
+    def test_unusual_edge_forms_accepted(self, edge_block, form):
+        g, block = edge_block
+        k = len(block) // 2
+        _, u, v = block[k].split()
+        lines = list(block)
         lines[k] = form.format(u, v)
-        assert parse_dimacs("\n".join(lines)) == coprime_graph(300)
+        assert parse_dimacs("\n".join(lines)) == g
+
+    @pytest.mark.parametrize("repeat", ["duplicated", "reversed", "reversed-with-comment"])
+    def test_repeated_edges_match_line_loop(self, edge_block, repeat, monkeypatch):
+        # the edge block a second time, as given or with each line's
+        # endpoints swapped; with default chunks, the comment line among
+        # the swapped lines leaves its chunk to the line loop while the
+        # others are read in bulk
+        g, block = edge_block
+        head, edges = block[:1], [line for line in block if line.startswith("e")]
+        if repeat != "duplicated":
+            edges += [f"e {v} {u}" for _, u, v in map(str.split, edges)]
+        else:
+            edges += edges
+        if repeat == "reversed-with-comment":
+            edges.insert(len(edges) * 3 // 4, "c a comment in the edge block")
+        text = "\n".join(head + edges) + "\n"
+        got = parse_dimacs(text)
+        assert got == g
+        monkeypatch.setattr(graph_module, "_read_edges", lambda *args: False)
+        assert parse_dimacs(text) == got
+
+
+class TestParseMemory:
+    def test_dense_block_peak_is_text_plus_matrix(self):
+        # the byte matrix is the parse's one n * n allocation; beside it
+        # and the decoded text, the chunks' tokens and the masks stay small
+        g = coprime_graph(1200)
+        data = write_dimacs(g).encode()
+        tracemalloc.start()
+        try:
+            parsed = parse_dimacs(data)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert parsed == g
+        assert peak <= len(data) + g.n * g.n + (1 << 20)
+
+    def test_sparse_block_at_the_vertex_limit_allocates_no_matrix(self):
+        n = MAX_VERTICES
+        data = f"p edge {n} 3\ne 1 2\ne 3 4\ne {n - 1} {n}\n".encode()
+        tracemalloc.start()
+        try:
+            parsed = parse_dimacs(data)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert parsed.m == 3 and parsed.has_edge(n - 2, n - 1)
+        # the id table and the per-vertex lists; a matrix would be 4 GiB
+        assert peak < n * n >> 8
 
 
 class TestWriteDimacs:

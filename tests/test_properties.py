@@ -6,7 +6,7 @@ from __future__ import annotations
 import warnings
 from unittest import mock
 
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from mdclique import (
     Bound,
@@ -114,6 +114,17 @@ _line = st.one_of(
 _dimacs_like = st.tuples(_problem, st.lists(st.one_of(_edge, _line), max_size=12)).map(
     lambda lines: "\n".join([lines[0], *lines[1]]).encode("latin-1")
 )
+# valid edge lines, among some of the lines above, under a problem
+# line of 3 vertices, whose n * n = 9 bytes puts any edge block of a line
+# or more through the parser's byte matrix, or of 30 vertices, which
+# leaves every such short block to the two-OR loop
+_valid_edge = st.tuples(st.integers(1, 3), st.integers(1, 2)).map(
+    lambda uv: f"e {uv[0]} {uv[1] + (uv[1] >= uv[0])}")
+_sized_problem = st.tuples(st.just("p edge"), st.sampled_from(["3", "30"]),
+                           _count).map(" ".join)
+_valid_dimacs_like = st.tuples(
+    _sized_problem, st.lists(st.one_of(_valid_edge, _line), min_size=1, max_size=12)
+).map(lambda lines: "\n".join([lines[0], *lines[1]]).encode("latin-1"))
 
 
 @given(st.one_of(st.binary(max_size=200), _dimacs_like))
@@ -140,13 +151,32 @@ def _parse_outcome(data: bytes) -> tuple[object, list[str]]:
     return result, [str(w.message) for w in caught]
 
 
-@given(st.one_of(st.binary(max_size=200), _dimacs_like),
-       st.one_of(st.just(1), st.integers(2, 40), st.just(graph_module._CHUNK_CHARS)))
-def test_parse_matches_line_by_line_reference(data, chunk_chars):
-    # chunk_chars 1 puts a chunk boundary at every line end, and the default
-    # holds the whole edge block of these short inputs in one chunk
-    with mock.patch.object(graph_module, "_CHUNK_CHARS", chunk_chars):
-        got = _parse_outcome(data)
-    with mock.patch.object(graph_module, "_read_edges", lambda *args: False):
-        want = _parse_outcome(data)
-    assert got == want
+def test_parse_matches_line_by_line_reference():
+    # _read_edges must take some chunk whole both into the byte matrix and
+    # by the two-OR loop; the two examples take one path each
+    taken = {"matrix": 0, "ors": 0}
+    read_edges = graph_module._read_edges
+
+    def counted(chunk, lines, ids, adj, rows):
+        read = read_edges(chunk, lines, ids, adj, rows)
+        if read:
+            taken["ors" if rows is None else "matrix"] += 1
+        return read
+
+    @given(st.one_of(st.binary(max_size=200), _dimacs_like, _valid_dimacs_like),
+           st.one_of(st.just(1), st.integers(2, 40), st.just(graph_module._CHUNK_CHARS)))
+    @example(b"p edge 3 1\ne 1 2\n", graph_module._CHUNK_CHARS)
+    @example(b"p edge 30 1\ne 1 2\n", graph_module._CHUNK_CHARS)
+    def matches(data, chunk_chars):
+        # chunk_chars 1 puts a chunk boundary at every line end, and the
+        # default holds the whole edge block of these short inputs in one
+        # chunk
+        with mock.patch.object(graph_module, "_CHUNK_CHARS", chunk_chars), \
+                mock.patch.object(graph_module, "_read_edges", counted):
+            got = _parse_outcome(data)
+        with mock.patch.object(graph_module, "_read_edges", lambda *args: False):
+            want = _parse_outcome(data)
+        assert got == want
+
+    matches()
+    assert taken["matrix"] and taken["ors"], taken
