@@ -440,10 +440,11 @@ def parse_dimacs(data: str | bytes) -> Graph:
         if not line.isascii():
             raise DimacsError(line_no, f"non-ASCII character in line: {line!r}")
         kind = fields[0]
+        # int() reads `1_0` as 10, so each numeric line rejects underscores
         if kind == "p":
             if n >= 0:
                 raise DimacsError(line_no, "duplicate problem line")
-            if len(fields) != 4 or fields[1] != "edge":
+            if len(fields) != 4 or fields[1] != "edge" or "_" in line:
                 raise DimacsError(line_no, f"malformed problem line: {line!r}")
             try:
                 n, declared_m = int(fields[2]), int(fields[3])
@@ -458,7 +459,7 @@ def parse_dimacs(data: str | bytes) -> Graph:
         elif kind == "e":
             if n < 0:
                 raise DimacsError(line_no, "edge line before problem line")
-            if len(fields) != 3:
+            if len(fields) != 3 or "_" in line:
                 raise DimacsError(line_no, f"malformed edge line: {line!r}")
             try:
                 u, v = int(fields[1]), int(fields[2])
@@ -475,7 +476,7 @@ def parse_dimacs(data: str | bytes) -> Graph:
         elif kind == "n":
             if n < 0:
                 raise DimacsError(line_no, "weight line before problem line")
-            if len(fields) != 3:
+            if len(fields) != 3 or "_" in line:
                 raise DimacsError(line_no, f"malformed weight line: {line!r}")
             try:
                 v, w = int(fields[1]), int(fields[2])

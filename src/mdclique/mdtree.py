@@ -18,12 +18,14 @@ on an explicit stack, so no tree depth meets the interpreter's recursion
 limit.
 
 Deep trees (threshold graphs reach depth n - 1) stay cheap because no
-level rescans its whole span. The graph is first relabelled once by
-ascending degree. Each component search then starts at the rest's
-highest id, its highest-degree vertex, and each co-component search at
-its lowest, so the first search from a vertex of the large side reaches
-most of it in one round. Every search is direction-optimising (Beamer et
-al., SC 2012): each round ORs the rows of the frontier or sweeps the
+level rescans its whole span. Splitting starts in input ids; a span still
+unsplit at depth n.bit_length(), where only a chain of small peels can
+have brought it, is relabelled by ascending degree, and its subtree splits
+in that copy. There each component search starts at the rest's highest
+id, its highest-degree vertex, and each co-component search at its
+lowest, so the first search from a vertex of the large side reaches most
+of it in one round. Every search is direction-optimising (Beamer et al.,
+SC 2012): each round ORs the rows of the frontier or sweeps the
 still-unreached vertices, whichever set is smaller, so peeling one vertex
 off a large span costs about the small side. Each later component is
 searched only inside the still-unassigned rest. Leaves map back to the
@@ -39,7 +41,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .graph import Graph, _check_vertices, _compress, iter_bits, vertex_mask
 
@@ -194,9 +196,9 @@ def _components(adj: list[int], span: int, flip: int) -> list[int]:
     each later search runs inside the still-unassigned rest only.
 
     Component searches start at the rest's highest vertex, co-component
-    searches at its lowest: with ids in ascending degree order (see
-    `decompose`), that is the vertex most likely to reach the large side in
-    one round."""
+    searches at its lowest: in a deep span, whose ids are in ascending
+    degree order (see `_decompose_span`), that is the vertex most likely to
+    reach the large side in one round."""
     comps = []
     rest = span
     while rest:
@@ -342,26 +344,52 @@ def _split(adj: list[int], span: int) -> tuple[NodeKind, list[int]]:
     return NodeKind.PRIME, _prime_children(adj, span)
 
 
-def _decompose_span(adj: list[int], span: int, order: list[int]) -> MDNode:
-    """Tree of the span-induced subgraph of a relabelled graph whose vertex
-    v is vertex order[v] of the input; the nodes carry input ids. Each
-    stack frame is an internal node under construction: (kind, built
-    children, pending child spans)."""
-    stack: list[tuple[NodeKind, list[MDNode], list[int]]] = []
+def _decompose_span(g: Graph) -> MDNode:
+    """Tree of g; the nodes carry input ids.
+
+    Spans split in a space (adj, order) whose vertex v is vertex order[v]
+    of the input. The input space is g.adj with the identity order. A span
+    of two or more vertices about to be split at depth n.bit_length() is
+    relabelled first: its members, sorted by ascending degree in g with
+    ties by id, become the low bits of a `_compress`ed copy, and its whole
+    subtree splits there. A tree whose every split halved its span would
+    end above that depth, so only long chains of small peels, as in
+    threshold graphs, get that deep, and only they need the high-degree
+    seed the relabel gives `_components`. Above the limit a bad seed costs
+    O(|S|) steps per level, O(n log n) in all, and shallow trees skip the
+    relabel's copy of the graph.
+
+    Each stack frame is an internal node under construction: (kind, built
+    children, pending child spans, depth, adj, order), the last two its
+    space."""
+    limit = g.n.bit_length()
+    adj: list[int] = g.adj
+    order: Sequence[int] = range(g.n)
+    span = g.full_mask
+    depth = 0
+    stack: list[tuple[NodeKind, list[MDNode], list[int], int, list[int], Sequence[int]]] = []
     while True:
         if span & (span - 1):
+            if depth == limit:
+                # every ancestor is shallower, so this span is in the input space
+                members = sorted(iter_bits(span), key=lambda v: g.adj[v].bit_count())
+                adj = _compress(adj, members, members)
+                order = members
+                span = (1 << len(members)) - 1
             kind, pending = _split(adj, span)
-            stack.append((kind, [], pending))
+            stack.append((kind, [], pending, depth, adj, order))
             span = pending.pop()
+            depth += 1
             continue
         node = MDNode(NodeKind.LEAF, vertex=order[span.bit_length() - 1])
         # hand the finished node to its parent, closing every frame that
         # has no pending span left, until one does
         while stack:
-            kind, built, pending = stack[-1]
+            kind, built, pending, depth, adj, order = stack[-1]
             built.append(node)
             if pending:
                 span = pending.pop()
+                depth += 1
                 break
             stack.pop()
             built.sort(key=lambda c: c.span & -c.span)
@@ -377,16 +405,14 @@ def decompose(g: Graph) -> MDTree:
     internal node are ordered by smallest vertex id in their spans, so equal
     graphs yield identical trees.
 
-    The splitting runs on a copy of the graph relabelled by ascending
-    degree, ties by id, which steers the component searches (see
-    `_components`); the leaves map back to input ids.
+    The splitting works in input ids down to depth n.bit_length(); a span
+    still unsplit there is relabelled by ascending degree, which steers
+    the component searches of its deep subtree (see `_decompose_span` and
+    `_components`). The leaves map back to input ids.
     """
     if g.n < 1:
         raise ValueError("cannot decompose an empty graph")
-    degree = [mask.bit_count() for mask in g.adj]
-    order = sorted(range(g.n), key=degree.__getitem__)
-    adj = _compress(g.adj, order, order)
-    return MDTree(root=_decompose_span(adj, g.full_mask, order), graph=g)
+    return MDTree(root=_decompose_span(g), graph=g)
 
 
 def quotient(g: Graph, node: MDNode, child_weights: list[int]) -> Graph:
@@ -480,22 +506,21 @@ def verify_tree(g: Graph, t: MDTree) -> list[str]:
         if not _is_module_mask(g.adj, parent_span, node.span):
             report(path, "span is not a module of the graph")
         spans = [c.span for c in node.children]
+        # the adjacency is symmetric, so the cross edges between a child and
+        # the rest of the span are checked from the smaller side: a chain of
+        # peels then costs O(1) rows per node instead of O(n)
         if node.kind is NodeKind.PARALLEL:
             for i, a in enumerate(spans):
-                reach = 0
-                for v in iter_bits(a):
-                    reach |= g.adj[v]
-                if reach & (node.span & ~a):
+                side, other = sorted((a, node.span & ~a), key=int.bit_count)
+                if any(g.adj[v] & other for v in iter_bits(side)):
                     report(path, f"parallel node: child {i} has a cross edge")
             if any(c.kind is NodeKind.PARALLEL for c in node.children):
                 report(path, "parallel node with a parallel child")
         elif node.kind is NodeKind.SERIES:
             for i, a in enumerate(spans):
-                rest = node.span & ~a
-                for v in iter_bits(a):
-                    if g.adj[v] & rest != rest:
-                        report(path, f"series node: child {i} misses a cross edge")
-                        break
+                side, other = sorted((a, node.span & ~a), key=int.bit_count)
+                if any(g.adj[v] & other != other for v in iter_bits(side)):
+                    report(path, f"series node: child {i} misses a cross edge")
             if any(c.kind is NodeKind.SERIES for c in node.children):
                 report(path, "series node with a series child")
         else:

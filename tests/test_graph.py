@@ -145,6 +145,25 @@ class TestParseDimacs:
         with pytest.raises(DimacsError, match="line 2: non-ASCII"):
             parse_dimacs("p edge 2 1\ne \u0661 2\n")
 
+    @pytest.mark.parametrize("text, message", [
+        ("p edge 1_2 1\n", "line 1: malformed problem line: 'p edge 1_2 1'"),
+        ("p edge 12 1_0\n", "line 1: malformed problem line: 'p edge 12 1_0'"),
+        ("p edge 12 1\ne 1_0 2\n", "line 2: malformed edge line: 'e 1_0 2'"),
+        ("p edge 12 1\ne 2 1_0\n", "line 2: malformed edge line: 'e 2 1_0'"),
+        ("p edge 2 0\nn 2 1_00\n", "line 2: malformed weight line: 'n 2 1_00'"),
+        ("p edge 12 0\nn 1_0 7\n", "line 2: malformed weight line: 'n 1_0 7'"),
+    ])
+    def test_underscore_in_number_rejected(self, text, message):
+        # int() reads `1_0` as 10
+        with pytest.raises(DimacsError) as caught:
+            parse_dimacs(text)
+        assert str(caught.value) == message
+
+    def test_sign_and_leading_zero_accepted(self):
+        g = parse_dimacs("p edge 3 2\ne +1 2\ne 01 3\nn 03 +5\n")
+        assert g.has_edge(0, 1) and g.has_edge(0, 2)
+        assert g.weights == [1, 1, 5]
+
     def test_vertex_count_limit(self):
         # the boundary allocates two 65536-entry lists and a 65536-entry id
         # table; one more is refused before any allocation
@@ -237,6 +256,8 @@ class TestParseDeepEdgeLines:
             # three per line
             ("e 1 2 e 3 4\n", "malformed edge line: 'e 1 2 e 3 4'"),
             ("ee 1 2", "unrecognized line: 'ee 1 2'"),
+            # the id table rejects the chunk, and the line loop the line
+            ("e 1_0 2", "malformed edge line: 'e 1_0 2'"),
             # str.split() takes a no-break space for a separator
             ("e 1\xa02", "non-ASCII character in line: 'e 1\\xa02'"),
         ]:

@@ -422,6 +422,36 @@ class TestSearchKernels:
         new_id = {old: new for new, old in enumerate(ids)}
         assert sol.vertices == tuple(sorted(new_id[v] for v in (0, *range(1, n, 2))))
 
+    def test_deep_chains_below_a_shallow_root_under_five_seconds(self):
+        # a Parallel root over two shuffled threshold chains 3999 levels
+        # deep: each chain needs its own relabel, well below the root
+        n = 4000
+        g = alternating_threshold(n)
+        adj: list[int] = []
+        for seed in (1, 2):
+            ids = list(range(n))
+            random.Random(seed).shuffle(ids)
+            base = len(adj)
+            adj += [row << base for row in _compress(g.adj, ids, ids)]
+        union = Graph._from_masks(2 * n, adj)
+        started = time.perf_counter()
+        t = decompose(union)
+        elapsed = time.perf_counter() - started
+        assert t.root.kind is NodeKind.PARALLEL
+        assert t.depth() == n
+        assert t.kind_counts() == {"prime": 0, "series": n, "parallel": n - 1, "leaf": 2 * n}
+        assert verify_tree(union, t) == []
+        assert elapsed < 5.0
+        sol, _ = solve(union)
+        assert sol.weight == n // 2 + 1
+
+    def test_chain_past_the_relabel_depth_keeps_its_tree(self):
+        # depth 11, past the relabel depth 12 .bit_length() = 4
+        t = decompose(alternating_threshold(12))
+        assert t.serialize() == (
+            "Series[Parallel[Series[Parallel[Series[Parallel[Series[Parallel["
+            "Series[Parallel[Series[1,2],3],4],5],6],7],8],9],10],11],12]")
+
 
 class TestMDNode:
     # checked by raising, not by assert, so that python -O keeps the checks

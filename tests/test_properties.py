@@ -3,6 +3,7 @@ brute-force oracle, tree validity and its independence of vertex ids,
 DIMACS round trips, and the parser on arbitrary input."""
 from __future__ import annotations
 
+import random
 import warnings
 from unittest import mock
 
@@ -31,20 +32,48 @@ from mdclique.graph import iter_bits, vertex_mask
 from conftest import edges_by_bits, write_dimacs_per_edge
 
 
+def threshold_graph(joins: list[bool], ids: list[int], weights: list[int] | None = None) -> Graph:
+    """Threshold graph whose vertex at position p, with id ids[p], is joined
+    to every earlier vertex iff joins[p]. Its tree is a Series/Parallel
+    chain with one level per run of equal values in joins[1:]."""
+    n = len(joins)
+    return Graph(n, [(ids[q], ids[p]) for p in range(n) if joins[p] for q in range(p)], weights)
+
+
 @st.composite
 def graphs(draw, min_n: int = 1, max_n: int = 14) -> Graph:
     """Graphs on min_n..max_n vertices with weights in 1..20 and either
-    arbitrary edges or the edges of a random cograph (a tree with no prime
-    node)."""
+    arbitrary edges, the edges of a random cograph (a tree with no prime
+    node), or those of a threshold graph on shuffled ids, whose chain is
+    often deeper than n.bit_length(), the depth where `decompose`
+    relabels."""
     n = draw(st.integers(min_n, max_n))
-    if n and draw(st.booleans()):
+    shape = draw(st.sampled_from(["arbitrary", "cograph", "threshold"])) if n else "arbitrary"
+    weights = draw(st.lists(st.integers(1, 20), min_size=n, max_size=n))
+    if shape == "cograph":
         edges = list(random_cograph(n, draw(st.integers(0, 2**32))).edges())
+    elif shape == "threshold":
+        joins = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+        return threshold_graph(joins, draw(st.permutations(range(n))), weights)
     else:
         pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
         keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
         edges = [pair for pair, kept in zip(pairs, keep) if kept]
-    weights = draw(st.lists(st.integers(1, 20), min_size=n, max_size=n))
     return Graph(n, edges, weights)
+
+
+# threshold chains on 8 shuffled vertices on each side of decompose's
+# relabel depth, 8 .bit_length() = 4: at depth 4 the deepest internal node
+# sits at depth 3 and no span is relabelled; at depth 5 the one at depth 4
+# is
+_SHUFFLED_8 = [5, 2, 7, 0, 3, 6, 1, 4]
+_AT_LIMIT = threshold_graph([0, 1, 0, 1, 0, 0, 0, 0], _SHUFFLED_8)
+_PAST_LIMIT = threshold_graph([0, 1, 0, 1, 0, 1, 1, 1], _SHUFFLED_8)
+
+
+def test_limit_examples_straddle_the_relabel_depth():
+    assert decompose(_AT_LIMIT).depth() == _AT_LIMIT.n.bit_length()
+    assert decompose(_PAST_LIMIT).depth() == _PAST_LIMIT.n.bit_length() + 1
 
 
 @given(graphs())
@@ -65,6 +94,8 @@ def test_colour_bound_matches_brute_force(g):
 
 
 @given(graphs())
+@example(_AT_LIMIT)
+@example(_PAST_LIMIT)
 def test_decompose_passes_verify_tree(g):
     assert verify_tree(g, decompose(g)) == []
 
@@ -76,11 +107,14 @@ def kinds_and_spans(tree, relabel) -> set[tuple[NodeKind, int]]:
             for node in tree.iter_nodes()}
 
 
-@given(graphs(max_n=30), st.data())
-def test_decompose_invariant_under_relabelling(g, data):
-    # decompose's degree order, search seeds and pivot all depend on the
-    # ids; the strong modules and their kinds must not
-    perm = data.draw(st.permutations(range(g.n)))
+@given(graphs(max_n=30), st.randoms(use_true_random=False))
+@example(_AT_LIMIT, random.Random(1))
+@example(_PAST_LIMIT, random.Random(1))
+def test_decompose_invariant_under_relabelling(g, rng):
+    # the search seeds, the pivot and the degree order of deep spans all
+    # depend on the ids; the strong modules and their kinds must not
+    perm = list(range(g.n))
+    rng.shuffle(perm)
     h = Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
     inverse = [0] * g.n
     for v, image in enumerate(perm):
@@ -99,9 +133,11 @@ def test_dimacs_round_trip(g):
 # a problem line, then lines of every kind with small numbers, in and out
 # of range, and tokens the parser must reject outside comments; among them
 # the valid edge lines that only the line-by-line reader takes
-_number = st.integers(-1, 4).map(str)
+# (int() reads `1_0` as 10 and `0_3` as 3, and the parser must not)
+_number = st.sampled_from(["-1", "0", "1", "2", "3", "4", "1_0", "0_2"])
 _count = st.integers(0, 4).map(str)
-_problem = st.tuples(st.just("p edge"), _count, _count).map(" ".join)
+_problem = st.tuples(st.just("p edge"), st.sampled_from(["0", "1", "2", "3", "4", "0_3"]),
+                     st.sampled_from(["0", "1", "2", "3", "4", "1_0"])).map(" ".join)
 _edge = st.tuples(st.just("e"), _number, _number).map(" ".join)
 _line = st.one_of(
     st.tuples(st.sampled_from(["e", "n", "ee", "e1"]), _number, _number).map(" ".join),
@@ -136,6 +172,9 @@ def test_parse_returns_graph_or_dimacs_error(data):
         except DimacsError:
             return
     assert isinstance(g, Graph)
+    # int() reads `1_0` as 10, but only a comment may hold an underscore
+    assert all(line.split()[:1] == ["c"] or "_" not in line
+               for line in data.decode("latin-1").split("\n"))
     assert parse_dimacs(write_dimacs(g)) == g
 
 
