@@ -284,7 +284,12 @@ def _compress(adj: list[int], rows: list[int], cols: list[int]) -> list[int]:
     matrix and its transpose hold at most _GATHER_CHARS digits together:
     the strings of a whole dense graph would take about 2 n (n + k) bytes
     of scratch, 1 GiB at n = k = 16384.
+
+    With rows and cols both 0..len(adj)-1 the submatrix is adj itself
+    (a row holds no bit at or above len(adj)), and a copy is returned.
     """
+    if rows == cols and len(rows) == len(adj) and rows == list(range(len(adj))):
+        return list(adj)
     out = [0] * len(rows)
     if not cols:
         return out

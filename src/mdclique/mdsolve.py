@@ -4,8 +4,9 @@ The tree is folded bottom-up, every child before its parent: a leaf
 contributes its own vertex; a parallel node takes its best child (no clique
 crosses disconnected parts); a series node takes the union of all child
 cliques (all parts are fully interconnected); a prime node builds the
-weighted quotient on its children, runs the branch-and-bound solver on it,
-and expands the chosen quotient vertices back to their child cliques.
+weighted quotient on its children, already in the solver's search order,
+runs the branch-and-bound solver on it, and expands the chosen quotient
+vertices back to their child cliques.
 """
 from __future__ import annotations
 
@@ -16,7 +17,7 @@ from operator import itemgetter
 
 from .graph import Graph, Solution, SolveStatus
 from .mdtree import MDNode, MDTree, NodeKind, decompose, quotient
-from .wclique import DEFAULT_CONFIG, Bound, SolverConfig, max_weight_clique
+from .wclique import DEFAULT_CONFIG, Bound, SolverConfig, _search_order, max_weight_clique
 
 
 @dataclass(frozen=True)
@@ -62,11 +63,18 @@ def solve_node(g: Graph, node: MDNode, config: SolverConfig = DEFAULT_CONFIG) ->
             solved[current] = (sum(weight for weight, _ in parts),
                                tuple(chain.from_iterable(vertices for _, vertices in parts)))
         else:
-            q = quotient(g, current, [weight for weight, _ in parts])
+            # the quotient is built in the order the search would impose on
+            # it, so the search keeps it as it is and gathers no second copy
+            reps = [(c.span & -c.span).bit_length() - 1 for c in current.children]
+            repmask = sum(1 << r for r in reps)
+            order = _search_order(prime_config.ordering, len(reps),
+                                  lambda i: (g.adj[reps[i]] & repmask).bit_count(),
+                                  lambda i: parts[i][0])
+            q = quotient(g, current, [weight for weight, _ in parts], order)
             picked = max_weight_clique(q, prime_config)
             timed_out = timed_out or picked.status is SolveStatus.TIMED_OUT
-            solved[current] = (picked.weight,
-                               tuple(chain.from_iterable(parts[qv][1] for qv in picked.vertices)))
+            solved[current] = (picked.weight, tuple(chain.from_iterable(
+                parts[order[qv]][1] for qv in picked.vertices)))
     weight, vertices = solved[node]
     status = SolveStatus.TIMED_OUT if timed_out else SolveStatus.OPTIMAL
     return Solution(tuple(sorted(vertices)), weight, status)

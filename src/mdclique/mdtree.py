@@ -11,11 +11,14 @@ or Prime (the quotient on the children has only trivial modules).
 node's children, the maximal proper modules. Those come from partition
 refinement around a pivot, M(G, v), and reachability in the forcing graph
 of the quotient G/M(G, v) (Ehrenfeucht, Gabow, McConnell and Sullivan,
-J. Algorithms 1994). In the refinement each part carries a superset of
-its splitters, and a split computes exact splitters for its smaller half
-only (Hopcroft's rule; Habib, Paul and Viennot, IJFCS 1999). Spans wait
-on an explicit stack, so no tree depth meets the interpreter's recursion
-limit.
+J. Algorithms 1994), built on the graph's own rows of one vertex per
+class, with no gathered copy. In the refinement each part carries a
+superset of its splitters, and a split computes exact splitters for its
+smaller half only (Hopcroft's rule; Habib, Paul and Viennot, IJFCS 1999);
+a part that outlives |part| candidate scans trades the rest for its exact
+splitters, so a twin class is proved a module in O(|class|) steps. Spans
+wait on an explicit stack, so no tree depth meets the interpreter's
+recursion limit.
 
 Deep trees (threshold graphs reach depth n - 1) stay cheap because no
 level rescans its whole span. Splitting starts in input ids; a span still
@@ -41,7 +44,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Iterator, Sequence
+from itertools import islice
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .graph import Graph, _check_vertices, _compress, iter_bits, vertex_mask
 
@@ -157,8 +161,8 @@ def _is_module_mask(adj: list[int], universe: int, mask: int) -> bool:
     return True
 
 
-def _reach(rows: list[int], start: int, within: int, flip: int = 0,
-           back: list[int] | None = None) -> int:
+def _reach(rows: list[int] | Mapping[int, int], start: int, within: int, flip: int = 0,
+           back: list[int] | Mapping[int, int] | None = None) -> int:
     """Vertices of `within` reachable from the start mask, where the
     out-neighbours of vertex v are rows[v] ^ flip and its in-neighbours
     back[v] ^ flip (back defaults to rows, for a symmetric graph).
@@ -216,10 +220,13 @@ def _maximal_modules_avoiding(adj: list[int], span: int, pivot: int) -> list[int
     Partition refinement from {N(pivot), non-neighbours}, where each part
     carries a superset of the vertices that split it (adjacent to some but
     not all of it). A candidate that splits no part splits none of its
-    subsets and is dropped; a part with none left is a maximal module. At
-    a split only the smaller half pays for exact splitters (Hopcroft's
-    rule), the OR of its lowest member's row XOR each other member's row.
-    The larger half inherits the remaining candidates plus the smaller half.
+    subsets and is dropped; a part with none left is a maximal module. A
+    part scans at most |part| candidates: if none of them splits it, its
+    exact splitters, the OR of its lowest member's row XOR each other
+    member's row, replace the rest, so proving a part a module costs
+    O(|part|) steps whatever its candidates. At a split only the smaller
+    half pays for exact splitters (Hopcroft's rule). The larger half
+    inherits the remaining candidates plus the smaller half.
     """
     inside = span & ~(1 << pivot)
     nbrs = adj[pivot] & inside
@@ -228,12 +235,22 @@ def _maximal_modules_avoiding(adj: list[int], span: int, pivot: int) -> list[int
     while pending:
         part, cands = pending.pop()
         # a single vertex is never split, so its candidates go unscanned
-        for z in iter_bits(cands if part & (part - 1) else 0):
+        scans = part.bit_count() if part & (part - 1) else 0
+        for z in islice(iter_bits(cands), scans):
             hit = part & adj[z]
             if hit and hit != part:
                 break
         else:
-            modules.append(part)
+            if cands.bit_count() > scans > 0:
+                # the part comes back with its exact splitters only, the
+                # first of which is the one a longer scan would have met
+                row = adj[(part & -part).bit_length() - 1]
+                exact = 0
+                for v in iter_bits(part & (part - 1)):
+                    exact |= row ^ adj[v]
+                pending.append((part, cands & exact))
+            else:
+                modules.append(part)
             continue
         # candidates up to z split nothing of this part any more
         cands = cands >> z + 1 << z + 1
@@ -269,20 +286,21 @@ def _module_closure(adj: list[int], span: int, seed: int) -> int:
     return s
 
 
-def _reaching_all(out: list[int], into: list[int]) -> int:
-    """Mask of the nodes that reach every node, in the digraph with
-    out-neighbour masks `out` and their transpose `into`.
+def _reaching_all(out: Mapping[int, int], into: Mapping[int, int], nodes: int) -> int:
+    """Mask of the nodes that reach every node, in the digraph on the node
+    mask `nodes` with out-neighbour masks `out` and their transpose `into`,
+    both keyed by node and holding no bit outside `nodes`.
 
     The node that finishes last in a depth-first search lies in a source
     component of the condensation. A node reaching everything exists only
     if that source is the only one, and then the nodes reaching everything
     are exactly the nodes that reach it.
     """
-    full = (1 << len(out)) - 1
     seen = 0
     last = 0
-    while seen != full:
-        start = ~seen & (seen + 1)
+    rest = nodes
+    while rest:
+        start = rest & -rest
         seen |= start
         stack = [start.bit_length() - 1]
         while stack:
@@ -293,9 +311,10 @@ def _reaching_all(out: list[int], into: list[int]) -> int:
                 stack.append(low.bit_length() - 1)
             else:
                 last = stack.pop()
-    if _reach(out, 1 << last, full, back=into) != full:
+        rest = nodes & ~seen
+    if _reach(out, 1 << last, nodes, back=into) != nodes:
         return 0
-    return _reach(into, 1 << last, full, back=out)
+    return _reach(into, 1 << last, nodes, back=out)
 
 
 def _prime_children(adj: list[int], span: int) -> list[int]:
@@ -308,24 +327,32 @@ def _prime_children(adj: list[int], span: int) -> list[int]:
     smallest module holding v and X is v plus every class X reaches. X is
     a child exactly when that module is the whole span: when X reaches
     every class. Any pivot gives the same children.
+
+    The forcing digraph lives on the graph's own rows: its nodes are the
+    classes' lowest members, the heads, by vertex id, and no submatrix is
+    gathered.
     """
     pivot_bit = span & -span
     pivot = pivot_bit.bit_length() - 1
     classes = _maximal_modules_avoiding(adj, span, pivot)
-    full = (1 << len(classes)) - 1
-    reps = [(cls & -cls).bit_length() - 1 for cls in classes]
-    rows = _compress(adj, reps + [pivot], reps)
-    pv = rows.pop()
-    # X_i forces X_j iff rep_j is adjacent to exactly one of v and rep_i;
-    # by symmetry of rows, the transpose flips row j whole when rep_j ~ v.
-    # The self-loops this leaves where rep_i ~ v change no reachability.
-    forces = [row ^ pv for row in rows]
-    forced_by = [row ^ full if pv >> j & 1 else row for j, row in enumerate(rows)]
-    sources = _reaching_all(forces, forced_by)
+    heads = 0
+    for cls in classes:
+        heads |= cls & -cls
+    pv = adj[pivot] & heads
+    # head x forces head y iff y is adjacent to exactly one of v and x; by
+    # symmetry of adj, the transpose flips row y whole when y ~ v. The
+    # self-loops this leaves where x ~ v change no reachability.
+    forces = {}
+    forced_by = {}
+    for h in iter_bits(heads):
+        row = adj[h] & heads
+        forces[h] = row ^ pv
+        forced_by[h] = row ^ heads if pv >> h & 1 else row
+    sources = _reaching_all(forces, forced_by, heads)
     pivot_child = pivot_bit
     children = []
-    for i, cls in enumerate(classes):
-        if sources >> i & 1:
+    for cls in classes:
+        if sources & cls:
             children.append(cls)
         else:
             pivot_child |= cls
@@ -415,21 +442,31 @@ def decompose(g: Graph) -> MDTree:
     return MDTree(root=_decompose_span(g), graph=g)
 
 
-def quotient(g: Graph, node: MDNode, child_weights: list[int]) -> Graph:
+def quotient(g: Graph, node: MDNode, child_weights: list[int],
+             order: Sequence[int] | None = None) -> Graph:
     """Quotient of an internal node with the given per-child weights:
-    quotient vertex i is node.children[i], and two quotient vertices are
-    adjacent iff any (hence every) pair of their spans' vertices is
-    adjacent in g.
+    two quotient vertices are adjacent iff any (hence every) pair of their
+    spans' vertices is adjacent in g. Quotient vertex i is
+    node.children[order[i]], with weight child_weights[order[i]]; `order`
+    is a permutation of the child indices and defaults to the canonical
+    order, so that vertex i is node.children[i].
 
     Adjacency is decided by one representative per child (valid because the
-    children are modules).
+    children are modules), in one gather of g's rows.
     """
     if node.is_leaf:
         raise ValueError("quotient of a leaf node")
     k = len(node.children)
     if len(child_weights) != k:
         raise ValueError(f"expected {k} child weights, got {len(child_weights)}")
-    reps = [(c.span & -c.span).bit_length() - 1 for c in node.children]
+    if order is None:
+        children = node.children
+    else:
+        if sorted(order) != list(range(k)):
+            raise ValueError(f"order must be a permutation of range({k})")
+        children = [node.children[i] for i in order]
+        child_weights = [child_weights[i] for i in order]
+    reps = [(c.span & -c.span).bit_length() - 1 for c in children]
     # a symmetric submatrix of the symmetric, loop-free adjacency is itself
     # symmetric and loop-free, so the trusted constructor applies; it still
     # checks that every weight is a positive integer

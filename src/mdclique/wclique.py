@@ -24,6 +24,7 @@ import sys
 import time
 from dataclasses import dataclass
 from enum import Enum
+from typing import Callable
 
 from .graph import Graph, Solution, SolveStatus, _compress, iter_bits
 
@@ -66,15 +67,21 @@ class SolverConfig:
 DEFAULT_CONFIG = SolverConfig()
 
 
+def _search_order(strategy: Ordering, n: int, degree: Callable[[int], int],
+                 weight: Callable[[int], int]) -> list[int]:
+    """Permutation of 0..n-1 for the search: descending degree(v) or
+    weight(v), ties by id, or the natural order. A graph whose vertices
+    already stand in this order gets the identity back."""
+    if strategy is Ordering.NATURAL:
+        return list(range(n))
+    key = degree if strategy is Ordering.DEGREE_DESC else weight
+    # the sort is stable even in reverse, so equal keys keep ascending ids
+    return sorted(range(n), key=key, reverse=True)
+
+
 def order_vertices(g: Graph, strategy: Ordering) -> list[int]:
-    """Vertex permutation for the search: descending degree or weight
-    (ties by id), or the natural 0..n-1 order."""
-    ids = list(range(g.n))
-    if strategy is Ordering.DEGREE_DESC:
-        ids.sort(key=lambda v: (-g.degree(v), v))
-    elif strategy is Ordering.WEIGHT_DESC:
-        ids.sort(key=lambda v: (-g.weights[v], v))
-    return ids
+    """Vertex permutation for the search on g (see `_search_order`)."""
+    return _search_order(strategy, g.n, g.degree, g.weights.__getitem__)
 
 
 class CliqueSearch:
@@ -92,7 +99,8 @@ class CliqueSearch:
         self.order = order_vertices(g, config.ordering)
         # adjacency and weights reindexed into order space: bit b of
         # _radj[i] means order[i] ~ order[b], so the lowest set bit of a
-        # candidate mask is the earliest order position in it
+        # candidate mask is the earliest order position in it; a graph
+        # already in search order, as the fold's quotients are, is copied
         self._radj = _compress(g.adj, self.order, self.order)
         self._rw = [g.weights[v] for v in self.order]
         self.suffix_best = [0] * len(self.order)

@@ -494,6 +494,16 @@ class TestCompress:
         assert _compress(adj, list(range(n)), []) == [0] * n
         assert _compress([0] * n, list(range(n)), list(range(n))) == [0] * n
 
+    def test_identity_is_a_copy(self):
+        adj = self.mixed_rows(random.Random(47), 200)
+        before = list(adj)
+        ids = list(range(200))
+        out = _compress(adj, ids, ids)
+        assert out == adj and out is not adj
+        out[0] ^= 1
+        out.append(0)
+        assert adj == before
+
     @pytest.mark.parametrize("gather_chars", [1, 7, 300, 5000])
     def test_many_blocks_in_one_call(self, monkeypatch, gather_chars):
         monkeypatch.setattr(graph_module, "_GATHER_CHARS", gather_chars)
@@ -511,7 +521,8 @@ class TestCompress:
         n = 4096
         rng = random.Random(46)
         adj = [rng.getrandbits(n) & ~(1 << v) for v in range(n)]
-        ids = list(range(n))
+        # a permutation, since the identity is a plain copy of adj
+        ids = rng.sample(range(n), n)
         tracemalloc.start()
         try:
             out = _compress(adj, ids, ids)

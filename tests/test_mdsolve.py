@@ -2,10 +2,13 @@ from __future__ import annotations
 
 import random
 import sys
+from dataclasses import replace
 
 import pytest
 
 from mdclique import (
+    Bound,
+    CliqueSearch,
     Graph,
     NodeKind,
     Ordering,
@@ -18,12 +21,14 @@ from mdclique import (
     induced_subgraph,
     is_clique,
     max_weight_clique,
+    quotient,
     random_cograph,
     set_weight,
     solve,
     solve_node,
     verify_tree,
 )
+from mdclique import mdsolve
 from conftest import alternating_threshold, weighted_gnp
 
 
@@ -96,6 +101,33 @@ class TestSolveNode:
                 assert is_clique(g, sol.vertices)
                 for child in node.children:
                     assert picked & set(child.span_vertices())
+
+
+class TestPrimeQuotientOrder:
+    @pytest.mark.parametrize("ordering", list(Ordering))
+    def test_quotient_arrives_in_search_order(self, monkeypatch, ordering):
+        # the fold hands the search a quotient already in its own order, so
+        # the search keeps it as it is; the answer is that of the search on
+        # the canonical quotient
+        searched = []
+
+        def recording(q, config):
+            searched.append((q, config))
+            return max_weight_clique(q, config)
+
+        monkeypatch.setattr(mdsolve, "max_weight_clique", recording)
+        config = SolverConfig(ordering=ordering)
+        prime_config = replace(config, bound=Bound.COLOUR)
+        for seed in range(6):
+            g = weighted_gnp(30, 0.75, seed=seed)
+            root = decompose(g).root
+            assert root.kind is NodeKind.PRIME and all(c.is_leaf for c in root.children)
+            searched.clear()
+            folded = solve_node(g, root, config)
+            ((q, used),) = searched
+            assert used == prime_config
+            assert CliqueSearch(q, used).order == list(range(q.n))
+            assert folded == max_weight_clique(quotient(g, root, g.weights), prime_config)
 
 
 class TestSolve:

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import random
 import time
+import tracemalloc
 from collections import deque
 
 import pytest
@@ -22,7 +23,14 @@ from mdclique import (
     verify_tree,
 )
 from mdclique.graph import _compress, iter_bits, vertex_mask
-from mdclique.mdtree import _components, _maximal_modules_avoiding, _module_closure, _reach
+from mdclique.mdtree import (
+    _components,
+    _maximal_modules_avoiding,
+    _module_closure,
+    _prime_children,
+    _reach,
+    _reaching_all,
+)
 from conftest import alternating_threshold
 
 HUB7_TREE = "Prime[Series[a,b,c],d,Parallel[e,f],g]"
@@ -154,6 +162,59 @@ def reference_reach(out: list[int], start: int, within: int) -> int:
                 seen.add(u)
                 queue.append(u)
     return vertex_mask(seen)
+
+
+def twin_blowup(rng: random.Random, max_n: int) -> Graph:
+    """A small gnp with each vertex replaced by an independent set or a
+    clique of 1-3 vertices (false or true twins), at most max_n in all,
+    with shuffled ids."""
+    sizes: list[int] = []
+    while sum(sizes) < max_n:
+        sizes.append(rng.randint(1, min(3, max_n - sum(sizes))))
+        if rng.random() < 0.2:
+            break
+    base = gnp(len(sizes), rng.choice([0.3, 0.5, 0.7]), seed=rng.randrange(10**9))
+    n = sum(sizes)
+    ids = list(range(n))
+    rng.shuffle(ids)
+    blocks = []
+    for size in sizes:
+        blocks.append(vertex_mask(ids[:size]))
+        del ids[:size]
+    adj = [0] * n
+    for b, block in enumerate(blocks):
+        joined = 0
+        for c in iter_bits(base.adj[b]):
+            joined |= blocks[c]
+        clique = rng.random() < 0.5
+        for v in iter_bits(block):
+            adj[v] = joined | (block & ~(1 << v) if clique else 0)
+    return Graph.from_adjacency(n, adj)
+
+
+def reference_prime_children(adj: list[int], span: int) -> list[int]:
+    """The prime split on a gathered quotient: the classes' representatives
+    and the pivot are compressed into a k-vertex copy, whose rows index the
+    forcing digraph by class number."""
+    pivot_bit = span & -span
+    pivot = pivot_bit.bit_length() - 1
+    classes = _maximal_modules_avoiding(adj, span, pivot)
+    full = (1 << len(classes)) - 1
+    reps = [(cls & -cls).bit_length() - 1 for cls in classes]
+    rows = _compress(adj, reps + [pivot], reps)
+    pv = rows.pop()
+    forces = [row ^ pv for row in rows]
+    forced_by = [row ^ full if pv >> j & 1 else row for j, row in enumerate(rows)]
+    sources = _reaching_all(forces, forced_by, full)
+    pivot_child = pivot_bit
+    children = []
+    for i, cls in enumerate(classes):
+        if sources >> i & 1:
+            children.append(cls)
+        else:
+            pivot_child |= cls
+    children.append(pivot_child)
+    return children
 
 
 def random_rows(rng: random.Random, n: int, p: float) -> list[int]:
@@ -360,10 +421,18 @@ class TestSearchKernels:
                 assert _components(adj, span, flip) == expected
 
     def test_maximal_modules_avoiding_match_bruteforce(self):
+        # twin-rich inputs keep parts alive past |part| candidate scans, so
+        # the refinement's switch to exact splitters is exercised too
         rng = random.Random(64)
-        for _ in range(300):
-            n = rng.randint(2, 11)
-            g = gnp(n, rng.choice([0.1, 0.3, 0.5, 0.7, 0.9]), seed=rng.randrange(10**9))
+        for trial in range(600):
+            if trial % 2:
+                g = twin_blowup(rng, 11)
+            else:
+                n = rng.randint(2, 11)
+                g = gnp(n, rng.choice([0.1, 0.3, 0.5, 0.7, 0.9]), seed=rng.randrange(10**9))
+            n = g.n
+            if n < 2:
+                continue
             old_ids = sorted(rng.sample(range(n), rng.randint(2, n)))
             span = vertex_mask(old_ids)
             sub, _ = induced_subgraph(g, old_ids)
@@ -374,6 +443,45 @@ class TestSearchKernels:
                 maximal = sorted(m for m in avoiding
                                  if not any(m != o and m & o == m for o in avoiding))
                 assert sorted(_maximal_modules_avoiding(g.adj, span, pivot)) == maximal
+
+    def test_reaching_all_on_a_node_mask_with_gaps(self):
+        # the nodes are a scattered subset of 0..n-1, rows keyed by node
+        rng = random.Random(66)
+        for _ in range(300):
+            n = rng.randint(1, 12)
+            nodes = random_subset(rng, n) or 1 << rng.randrange(n)
+            p = rng.choice([0.1, 0.3, 0.6])
+            out = {v: vertex_mask(u for u in iter_bits(nodes) if u != v and rng.random() < p)
+                   for v in iter_bits(nodes)}
+            into = {v: vertex_mask(u for u in iter_bits(nodes) if out[u] >> v & 1)
+                    for v in iter_bits(nodes)}
+            expected = vertex_mask(v for v in iter_bits(nodes)
+                                   if reference_reach(out, 1 << v, nodes) == nodes)
+            assert _reaching_all(out, into, nodes) == expected
+
+    def test_prime_children_match_gathered_reference(self):
+        def check(adj: list[int], span: int) -> None:
+            assert sorted(_prime_children(adj, span)) == sorted(reference_prime_children(adj, span))
+
+        rng = random.Random(67)
+        checked = 0
+        while checked < 200:
+            n = rng.randint(4, 14)
+            g = gnp(n, rng.choice([0.3, 0.5, 0.7]), seed=rng.randrange(10**9))
+            span = random_subset(rng, n)
+            if (span.bit_count() >= 4 and len(_components(g.adj, span, 0)) == 1
+                    and len(_components(g.adj, span, span)) == 1):
+                check(g.adj, span)
+                checked += 1
+        for seed in range(4):
+            g, _ = substituted_graph(prime_spec(random.Random(seed), 12, levels=1), seed)
+            primes = [node for node in decompose(g).iter_nodes() if node.kind is NodeKind.PRIME]
+            assert primes
+            for node in primes:
+                check(g.adj, node.span)
+        g = coprime_graph(200)
+        (node,) = [node for node in decompose(g).iter_nodes() if node.kind is NodeKind.PRIME]
+        check(g.adj, node.span)
 
     def test_module_closure_matches_bruteforce(self):
         # the closure is the intersection of every module of the span that
@@ -451,6 +559,31 @@ class TestSearchKernels:
         assert t.serialize() == (
             "Series[Parallel[Series[Parallel[Series[Parallel[Series[Parallel["
             "Series[Parallel[Series[1,2],3],4],5],6],7],8],9],10],11],12]")
+
+
+class TestDecomposeMemory:
+    def test_sparse_random_graph_peak(self):
+        # a random graph of average degree 3 on 8192 vertices, with one
+        # prime node; decompose peaks near 20 MiB here, and an index of the
+        # rows that groups twins before refining would take over 40 MiB
+        n = 8192
+        rng = random.Random(5)
+        adj = [0] * n
+        m = 0
+        while m < 3 * n // 2:
+            u, v = rng.randrange(n), rng.randrange(n)
+            if u != v and not adj[u] >> v & 1:
+                adj[u] |= 1 << v
+                adj[v] |= 1 << u
+                m += 1
+        g = Graph.from_adjacency(n, adj)
+        tracemalloc.start()
+        try:
+            decompose(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 24 << 20
 
 
 class TestMDNode:
@@ -571,6 +704,23 @@ class TestQuotient:
         assert parallel.kind is NodeKind.PARALLEL
         q = quotient(hub7, parallel, [1, 1])
         assert q.m == 0
+
+    def test_order_permutes_the_children(self, hub7):
+        root = decompose(hub7).root
+        weights = [3, 1, 2, 5]
+        canonical = quotient(hub7, root, weights)
+        order = [2, 0, 3, 1]
+        q = quotient(hub7, root, weights, order)
+        assert q.weights == [weights[i] for i in order]
+        for i in range(4):
+            for j in range(4):
+                assert q.has_edge(i, j) == canonical.has_edge(order[i], order[j])
+        assert quotient(hub7, root, weights, range(4)).adj == canonical.adj
+
+    @pytest.mark.parametrize("order", [[0, 1, 2], [0, 1, 2, 2], [0, 1, 2, 4], [1, 2, 3, 4]])
+    def test_order_must_be_a_permutation(self, hub7, order):
+        with pytest.raises(ValueError, match="permutation"):
+            quotient(hub7, decompose(hub7).root, [1, 1, 1, 1], order)
 
     def test_weight_count_mismatch(self, hub7):
         with pytest.raises(ValueError, match="child weights"):
