@@ -22,10 +22,11 @@ from typing import Iterable, Iterator, Sequence
 MAX_VERTICES = 1 << 16
 
 # parse_dimacs takes its edge lines in chunks of at least this many
-# characters, each ending at a line end. A chunk's tokens take about 13
-# bytes per character, so the chunk bounds the parse's extra memory beside
-# the dense block's byte matrix; chunks of 1 << 18 were no faster and raised
-# the dense-random benchmark's peak RSS by 11%.
+# characters, each ending at a line end. A chunk's tokens take about 11
+# bytes per character (13 with a sparse block's two id lists), so the chunk
+# bounds the parse's extra memory beside the dense block's byte matrix;
+# chunks of 1 << 18 were no faster and raised the dense-random benchmark's
+# peak RSS by 11%.
 _CHUNK_CHARS = 1 << 14
 
 # _compress gathers dense rows a block at a time, each block's row matrix
@@ -65,9 +66,15 @@ def _above(mask: int, u: int, items: Sequence) -> Iterator:
     The bits above u are formatted once as a binary numeral, reversed so
     that index j holds bit u + 1 + j, and translated into selector bytes
     for one itertools.compress, so a row costs a few C-level passes
-    instead of a Python step per bit.
+    instead of a Python step per bit. A row with fewer than
+    (len(items) - u) / 64 bits above u is walked bit by bit instead, as
+    `_compress` renames its sparse rows, so a sparse graph costs O(n + m)
+    Python steps here rather than n rows formatted in full.
     """
-    digits = format(mask >> (u + 1), "b")[::-1].encode("ascii")
+    high = mask >> (u + 1)
+    if high.bit_count() << 6 < len(items) - u:
+        return map(items.__getitem__, iter_bits(high << (u + 1)))
+    digits = format(high, "b")[::-1].encode("ascii")
     return compress(items[u + 1 :], digits.translate(_DIGIT_TO_BIT))
 
 
@@ -337,42 +344,73 @@ def induced_subgraph(g: Graph, s: Iterable[int]) -> tuple[Graph, dict[int, int]]
     return sub, {old: new for new, old in enumerate(old_ids)}
 
 
-def _read_edges(
-    chunk: str, lines: int, ids: dict[str, int], adj: list[int],
-    rows: list[memoryview] | None,
-) -> bool:
-    """Set the edges of a chunk of `lines` lines and return True when every
-    line is exactly `e <u> <v>`, with u and v keys of ids and u != v.
-    Otherwise return False and set nothing.
+def _canonical(chunk: str) -> str:
+    """chunk with tabs and CRs made spaces, each run of spaces made one
+    space and the spaces at both ends of every line dropped, as far as
+    `_read_edges` can tell.
 
-    Every line starts with an `e` token, every token at a position 0 mod 3
-    is `e` and every other token is an id, which together force exactly
-    three tokens per line.
-
-    Without rows, an edge ORs both of its bits into adj. With rows, the
-    rows of parse_dimacs's byte matrix, an edge sets the one byte
-    rows[u][v] to `1`, so no per-edge int is allocated; the caller adds
-    the mirrored half from the matrix's columns.
+    str.split() takes each of these characters for a separator, so every
+    line splits into the same tokens as before, and the line ends are kept.
+    The first pass drops one blank before each line end, which is all that
+    CRLF or single trailing spaces need. If what is left holds two spaces
+    per line, it is returned as it is: a line that splits into `e <u> <v>`
+    holds at least two blanks, so either each line holds just its two
+    separators or some line is no edge line. Only otherwise does the full
+    pass run, whose two-character searches cost more than the rest.
     """
-    if not (chunk.isascii() and chunk.startswith("e") and chunk.count("\ne") == lines - 1):
-        return False
-    tokens = chunk.split()
-    if len(tokens) != 3 * lines or tokens[0::3].count("e") != lines:
+    text = chunk.replace("\t", " ").replace("\r", " ").replace(" \n", "\n").strip(" ")
+    if text.count(" ") != 2 * text.count("\n") + 2:
+        while "  " in text:
+            text = text.replace("  ", " ")
+        text = text.replace(" \n", "\n").replace("\n ", "\n")
+    return text
+
+
+def _read_edges(
+    chunk: str, ids: dict[str, int], ends: dict[str, int], adj: list[int],
+    mat: bytearray, rows: list[memoryview] | None,
+) -> bool:
+    """Set the edges of a chunk and return True when every line is exactly
+    `e <u> <v>`, single-spaced, with u and v keys of ids and u != v.
+    Otherwise return False.
+
+    The chunk with `\ne` appended is split on single spaces, so each
+    line's end is glued to its v token as `<v>\ne`: the tokens are `e`,
+    then u and `<v>\ne` in turn. A u token is read through ids and a v
+    token through ends, whose keys are those of ids with `\ne` appended.
+    The first token is `e`, the token count is odd and every lookup hits,
+    which together force exactly the lines `e <u> <v>`.
+
+    Without rows, the ids are gathered into two lists and an edge ORs both
+    of its bits into adj; a rejected chunk sets nothing. With rows, the
+    rows of parse_dimacs's byte matrix mat, one loop sets the byte
+    rows[u][v] to `1` as it looks the ids up, so no per-edge int is
+    allocated and the caller adds the mirrored half from the matrix's
+    columns; self-loops are found afterwards on the matrix's diagonal. A
+    chunk rejected part-way may have set some bytes already, but each of
+    them comes from a well-formed line `e <u> <v>` of the chunk, whose
+    lines the caller then reads one by one: either one of them is bad (a
+    self-loop is), and the parse fails, or they set the same edges again.
+    """
+    tokens = (chunk + "\ne").split(" ")
+    if tokens[0] != "e" or not len(tokens) & 1:
         return False
     try:
-        us = list(map(ids.__getitem__, tokens[1::3]))
-        vs = list(map(ids.__getitem__, tokens[2::3]))
+        if rows is None:
+            us = list(map(ids.__getitem__, tokens[1::2]))
+            vs = list(map(ends.__getitem__, tokens[2::2]))
+        else:
+            for u, v in zip(tokens[1::2], tokens[2::2]):
+                rows[ids[u]][ends[v]] = 49  # ord("1")
     except KeyError:
         return False
+    if rows is not None:
+        return 49 not in mat[:: len(adj) + 1]
     if any(map(operator.eq, us, vs)):
         return False
-    if rows is None:
-        for u, v in zip(us, vs):
-            adj[u] |= 1 << v
-            adj[v] |= 1 << u
-    else:
-        for u, v in zip(us, vs):
-            rows[u][v] = 49  # ord("1")
+    for u, v in zip(us, vs):
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
     return True
 
 
@@ -393,6 +431,14 @@ def parse_dimacs(data: str | bytes) -> Graph:
     `e <u+1> <v+1>`. Row u of the adjacency is then the row u and the
     column u of that matrix, each read by int(..., 2), ORed with the bits
     that the line loop set. A sparse block ORs two bits per edge instead.
+
+    Edge lines written `e <u> <v>` with single spaces are read a chunk at
+    a time by `_read_edges`. A chunk it rejects is offered once more as
+    `_canonical(chunk)`, with its blanks normalised, which `str.split()`
+    would not tell apart; once one chunk has been taken that way, later
+    chunks are normalised before they are offered. A chunk rejected both
+    ways goes to the line loop, which alone reports errors, always from
+    the original text.
     """
     if isinstance(data, bytes):
         # latin-1 maps every byte to one character, so decoding cannot fail
@@ -408,9 +454,9 @@ def parse_dimacs(data: str | bytes) -> Graph:
         """The numbered lines that `_read_edges` leaves to the loop below,
         which alone reports errors. From the first line that starts with
         `e`, the text is cut at line ends into chunks and each chunk is
-        offered to `_read_edges` whole; n and adj are read, and mat made
-        for a dense block, only after the loop has read every line before
-        that first one."""
+        offered to `_read_edges` whole, as it stands or normalised; n and
+        adj are read, and mat made for a dense block, only after the loop
+        has read every line before that first one."""
         nonlocal mat
         if data.startswith("e"):
             pos = 0
@@ -418,23 +464,31 @@ def parse_dimacs(data: str | bytes) -> Graph:
             pos = data.find("\ne") + 1 or len(data) + 1
         if pos:
             yield from enumerate(data[: pos - 1].split("\n"), start=1)
-        # a miss rejects an id out of range and a form like `01` or `+1`
+        # a miss rejects an id out of range and a form like `01` or `+1`;
+        # ends holds the same ids glued to the start of the next edge line,
+        # and shares their int values
         ids = {str(v + 1): v for v in range(n)}
+        ends = {key + "\ne": v for key, v in ids.items()}
         rows = None
         if 0 < n and n * n <= 2 * (len(data) - pos):
             mat = bytearray(b"0") * (n * n)
             view = memoryview(mat)
             rows = [view[u * n : (u + 1) * n] for u in range(n)]
         line_no = data.count("\n", 0, pos) + 1
+        canonical = False
         while pos < len(data):
             end = data.find("\n", min(pos + _CHUNK_CHARS, len(data)) - 1)
             if end < 0:
                 end = len(data)
             chunk = data[pos:end]
-            lines = chunk.count("\n") + 1
-            if not _read_edges(chunk, lines, ids, adj, rows):
+            if canonical:
+                taken = _read_edges(_canonical(chunk), ids, ends, adj, mat, rows)
+            elif not (taken := _read_edges(chunk, ids, ends, adj, mat, rows)):
+                text = _canonical(chunk)
+                taken = canonical = text != chunk and _read_edges(text, ids, ends, adj, mat, rows)
+            if not taken:
                 yield from enumerate(chunk.split("\n"), start=line_no)
-            line_no += lines
+            line_no += chunk.count("\n") + 1
             pos = end + 1
 
     for line_no, raw in unread_lines():

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import time
 import tracemalloc
 
 import pytest
@@ -260,6 +261,9 @@ class TestParseDeepEdgeLines:
             ("e 1_0 2", "malformed edge line: 'e 1_0 2'"),
             # str.split() takes a no-break space for a separator
             ("e 1\xa02", "non-ASCII character in line: 'e 1\\xa02'"),
+            # a CR inside a line separates tokens, so normalising must not
+            # drop it and read `e 12 3`
+            ("e 1\r2 3", "malformed edge line: 'e 1\\r2 3'"),
         ]:
             lines = list(block)
             lines.insert(k - 1, bad)
@@ -267,6 +271,13 @@ class TestParseDeepEdgeLines:
                 parse_dimacs("\n".join(lines))
             assert caught.value.line == k
             assert str(caught.value) == f"line {k}: {message}"
+
+    def test_short_last_line(self, edge_block):
+        # the block's last chunk then splits into an even number of tokens
+        g, block = edge_block
+        with pytest.raises(DimacsError) as caught:
+            parse_dimacs("\n".join(block[:-1] + ["e 5"]))
+        assert str(caught.value) == f"line {len(block)}: malformed edge line: 'e 5'"
 
     def test_chunk_that_starts_with_a_blank_line(self, monkeypatch):
         # the second chunk is "\ne 1 2 e 3 4": its token count is three per
@@ -309,6 +320,53 @@ class TestParseDeepEdgeLines:
         assert got == g
         monkeypatch.setattr(graph_module, "_read_edges", lambda *args: False)
         assert parse_dimacs(text) == got
+
+
+    @pytest.mark.filterwarnings("ignore::mdclique.DimacsWarning")
+    def test_chunk_rejected_part_way_matches_line_loop(self, edge_block, monkeypatch):
+        # the matrix path sets the valid line's byte before it meets the
+        # leading zero, then the line loop reads the whole chunk again; the
+        # sparse graph has no edge 1-3, so its edge count is one short
+        g, block = edge_block
+        k = len(block) // 2
+        lines = block[: k + 1] + ["e 01 3"] + block[k + 1 :]
+        text = "\n".join(lines)
+        got = parse_dimacs(text)
+        monkeypatch.setattr(graph_module, "_read_edges", lambda *args: False)
+        assert got == parse_dimacs(text)
+        assert got.has_edge(0, 2)
+
+    def test_self_loop_before_rejected_line_reports_its_own_line(self, edge_block):
+        # the matrix path sets the loop's diagonal byte before `+1` rejects
+        # the chunk; the line loop stops at the loop
+        g, block = edge_block
+        k = len(block) // 2
+        lines = block[:k] + ["e 3 3", "e +1 2"] + block[k:]
+        with pytest.raises(DimacsError) as caught:
+            parse_dimacs("\n".join(lines))
+        assert str(caught.value) == f"line {k + 1}: self-loop at vertex 3"
+
+    @pytest.mark.parametrize("spacing", ["crlf", "tabs", "trailing-space"])
+    def test_other_spacing_taken_whole(self, edge_block, spacing, monkeypatch):
+        # the first chunk is rejected as it stands and taken once
+        # normalised; every later chunk is normalised first and taken, so
+        # no chunk falls to the line loop
+        g, block = edge_block
+        text = {
+            "crlf": "\r\n".join(block),
+            "tabs": "\n".join(block).replace(" ", "\t"),
+            "trailing-space": " \n".join(block),
+        }[spacing]
+        results = []
+        read_edges = graph_module._read_edges
+
+        def counted(*args):
+            results.append(read_edges(*args))
+            return results[-1]
+
+        monkeypatch.setattr(graph_module, "_read_edges", counted)
+        assert parse_dimacs(text) == g
+        assert results[:2] == [False, True] and all(results[1:])
 
 
 class TestParseMemory:
@@ -385,6 +443,27 @@ class TestWriteDimacs:
         assert text == write_dimacs_per_edge(g)
         assert list(g.edges()) == edges_by_bits(g)
         assert parse_dimacs(text) == g
+
+
+class TestSparseRowsWritten:
+    @pytest.fixture(scope="class")
+    def shuffled_path(self):
+        # every row holds two bits spread over 32768 ids, so formatting
+        # each row in full would make the writer quadratic
+        n = 32768
+        ids = list(range(n))
+        random.Random(3).shuffle(ids)
+        return Graph(n, [(ids[i], ids[i + 1]) for i in range(n - 1)])
+
+    def test_write_dimacs_matches_per_edge_reference(self, shuffled_path):
+        start = time.perf_counter()
+        text = write_dimacs(shuffled_path)
+        elapsed = time.perf_counter() - start
+        assert text == write_dimacs_per_edge(shuffled_path)
+        assert elapsed < 2
+
+    def test_edges_match_bit_reference(self, shuffled_path):
+        assert list(shuffled_path.edges()) == edges_by_bits(shuffled_path)
 
 
 class TestCliquePredicates:

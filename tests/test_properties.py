@@ -153,9 +153,13 @@ _dimacs_like = st.tuples(_problem, st.lists(st.one_of(_edge, _line), max_size=12
 # valid edge lines, among some of the lines above, under a problem
 # line of 3 vertices, whose n * n = 9 bytes puts any edge block of a line
 # or more through the parser's byte matrix, or of 30 vertices, which
-# leaves every such short block to the two-OR loop
-_valid_edge = st.tuples(st.integers(1, 3), st.integers(1, 2)).map(
-    lambda uv: f"e {uv[0]} {uv[1] + (uv[1] >= uv[0])}")
+# leaves every such short block to the two-OR loop. Their separators and
+# line ends other than one space and none leave a chunk to the parser's
+# normalising retry.
+_separator = st.sampled_from([" ", "\t", "  "])
+_valid_edge = st.tuples(st.integers(1, 3), st.integers(1, 2), _separator, _separator,
+                        st.sampled_from(["", " ", "\r"])).map(
+    lambda e: f"e{e[2]}{e[0]}{e[3]}{e[1] + (e[1] >= e[0])}{e[4]}")
 _sized_problem = st.tuples(st.just("p edge"), st.sampled_from(["3", "30"]),
                            _count).map(" ".join)
 _valid_dimacs_like = st.tuples(
@@ -192,30 +196,44 @@ def _parse_outcome(data: bytes) -> tuple[object, list[str]]:
 
 def test_parse_matches_line_by_line_reference():
     # _read_edges must take some chunk whole both into the byte matrix and
-    # by the two-OR loop; the two examples take one path each
-    taken = {"matrix": 0, "ors": 0}
-    read_edges = graph_module._read_edges
+    # by the two-OR loop, and some only once _canonical has normalised it;
+    # the first three examples take one path each, and the last two hold a
+    # short last line and a CR inside a line
+    taken = {"matrix": 0, "ors": 0, "normalised": 0}
+    read_edges, canonical = graph_module._read_edges, graph_module._canonical
+    normalised = [None]
 
-    def counted(chunk, lines, ids, adj, rows):
-        read = read_edges(chunk, lines, ids, adj, rows)
+    def counted(chunk, *args):
+        read = read_edges(chunk, *args)
         if read:
-            taken["ors" if rows is None else "matrix"] += 1
+            taken["ors" if args[-1] is None else "matrix"] += 1
+            taken["normalised"] += chunk is normalised[-1]
         return read
+
+    def canonical_recorded(chunk):
+        text = canonical(chunk)
+        if text != chunk:
+            normalised.append(text)
+        return text
 
     @given(st.one_of(st.binary(max_size=200), _dimacs_like, _valid_dimacs_like),
            st.one_of(st.just(1), st.integers(2, 40), st.just(graph_module._CHUNK_CHARS)))
     @example(b"p edge 3 1\ne 1 2\n", graph_module._CHUNK_CHARS)
     @example(b"p edge 30 1\ne 1 2\n", graph_module._CHUNK_CHARS)
+    @example(b"p edge 3 1\ne\t1  2\r\n", graph_module._CHUNK_CHARS)
+    @example(b"p edge 3 1\ne 1 2\ne 3", graph_module._CHUNK_CHARS)
+    @example(b"p edge 30 1\ne 1\r2 3\n", graph_module._CHUNK_CHARS)
     def matches(data, chunk_chars):
         # chunk_chars 1 puts a chunk boundary at every line end, and the
         # default holds the whole edge block of these short inputs in one
         # chunk
         with mock.patch.object(graph_module, "_CHUNK_CHARS", chunk_chars), \
-                mock.patch.object(graph_module, "_read_edges", counted):
+                mock.patch.object(graph_module, "_read_edges", counted), \
+                mock.patch.object(graph_module, "_canonical", canonical_recorded):
             got = _parse_outcome(data)
         with mock.patch.object(graph_module, "_read_edges", lambda *args: False):
             want = _parse_outcome(data)
         assert got == want
 
     matches()
-    assert taken["matrix"] and taken["ors"], taken
+    assert all(taken.values()), taken
