@@ -21,19 +21,19 @@ wait on an explicit stack, so no tree depth meets the interpreter's
 recursion limit.
 
 Deep trees (threshold graphs reach depth n - 1) stay cheap because no
-level rescans its whole span. Splitting starts in input ids; a span still
-unsplit at depth n.bit_length(), where only a chain of small peels can
-have brought it, is relabelled by ascending degree, and its subtree splits
-in that copy. There each component search starts at the rest's highest
-id, its highest-degree vertex, and each co-component search at its
-lowest, so the first search from a vertex of the large side reaches most
-of it in one round. Every search is direction-optimising (Beamer et al.,
-SC 2012): each round ORs the rows of the frontier or sweeps the
-still-unreached vertices, whichever set is smaller, so peeling one vertex
-off a large span costs about the small side. Each later component is
-searched only inside the still-unassigned rest. Leaves map back to the
-input ids, so spans, child order and `serialize()` do not depend on the
-relabelling.
+level rescans its whole span. Every span is a mask of input ids. A span
+still unsplit at depth n.bit_length(), where only a chain of small peels
+can have brought it, carries a list of its members ranked by ascending
+degree; its first component search starts at the list's last entry, its
+highest-degree vertex, and its first co-component search at the first
+entry, so the search from a vertex of the large side reaches most of it
+in one round. A child holding at least half of its parent's span trims
+the parent's list at both ends, and any other ranks its own members.
+Every search is direction-optimising (Beamer et al., SC 2012): each round
+ORs the rows of the frontier or sweeps the still-unreached vertices,
+whichever set is smaller, so peeling one vertex off a large span costs
+about the small side. Each later component is searched only inside the
+still-unassigned rest.
 
 It is not linear-time, but it is bitmask-fast in practice; the tree is
 validated by `verify_tree`, whose primality check uses plain module
@@ -193,23 +193,28 @@ def _reach(rows: list[int] | Mapping[int, int], start: int, within: int, flip: i
     return reached
 
 
-def _components(adj: list[int], span: int, flip: int) -> list[int]:
+def _components(adj: list[int], span: int, flip: int, seed: int = 0) -> list[int]:
     """Connected components of the subgraph induced by span, as masks
     ordered by lowest vertex; with flip = span, those of its complement
     (each row is XORed with flip). No edge leaves a finished component, so
     each later search runs inside the still-unassigned rest only.
 
-    Component searches start at the rest's highest vertex, co-component
-    searches at its lowest: in a deep span, whose ids are in ascending
-    degree order (see `_decompose_span`), that is the vertex most likely to
-    reach the large side in one round."""
+    The first search starts at the vertex mask `seed` if one is given.
+    Every other component search starts at the rest's highest vertex, and
+    every other co-component search at its lowest. A deep span passes its
+    highest-degree vertex as the seed of its component search and its
+    lowest-degree vertex as that of its co-component search (see
+    `_decompose_span`): that is the vertex most likely to reach the large
+    side in one round."""
     comps = []
     rest = span
     while rest:
-        seed = rest & -rest if flip else 1 << (rest.bit_length() - 1)
+        if not seed:
+            seed = rest & -rest if flip else 1 << (rest.bit_length() - 1)
         comp = _reach(adj, seed, rest, flip)
         comps.append(comp)
         rest &= ~comp
+        seed = 0
     comps.sort(key=lambda c: c & -c)
     return comps
 
@@ -360,59 +365,84 @@ def _prime_children(adj: list[int], span: int) -> list[int]:
     return children
 
 
-def _split(adj: list[int], span: int) -> tuple[NodeKind, list[int]]:
-    """Kind and child spans of the node over a span of >= 2 vertices."""
-    comps = _components(adj, span, 0)
+def _split(adj: list[int], span: int, high: int = 0, low: int = 0) -> tuple[NodeKind, list[int]]:
+    """Kind and child spans of the node over a span of >= 2 vertices; the
+    first component search starts at the vertex mask `high` and the first
+    co-component search at `low`, where given."""
+    comps = _components(adj, span, 0, high)
     if len(comps) > 1:
         return NodeKind.PARALLEL, comps
-    cocomps = _components(adj, span, span)
+    cocomps = _components(adj, span, span, low)
     if len(cocomps) > 1:
         return NodeKind.SERIES, cocomps
     return NodeKind.PRIME, _prime_children(adj, span)
 
 
-def _decompose_span(g: Graph) -> MDNode:
-    """Tree of g; the nodes carry input ids.
+# (ranked, lo, hi, count): ranked[lo:hi] holds the count members of a span
+# in ascending degree, ties by id, among vertices that have left the span;
+# ranked[lo] and ranked[hi - 1] are members
+_Steer = tuple[list[int], int, int, int]
 
-    Spans split in a space (adj, order) whose vertex v is vertex order[v]
-    of the input. The input space is g.adj with the identity order. A span
-    of two or more vertices about to be split at depth n.bit_length() is
-    relabelled first: its members, sorted by ascending degree in g with
-    ties by id, become the low bits of a `_compress`ed copy, and its whole
-    subtree splits there. A tree whose every split halved its span would
-    end above that depth, so only long chains of small peels, as in
-    threshold graphs, get that deep, and only they need the high-degree
-    seed the relabel gives `_components`. Above the limit a bad seed costs
-    O(|S|) steps per level, O(n log n) in all, and shallow trees skip the
-    relabel's copy of the graph.
+
+def _steer(adj: list[int], span: int, parent: _Steer | None) -> _Steer:
+    """The steering list of a span split at depth >= n.bit_length().
+
+    A span holding at least half of its parent's span trims the parent's
+    list to its own members at both ends; any other span sorts its members
+    anew. A small child trimming its parent's list would scan past its
+    siblings' entries, so a vertex is sorted again only when its span
+    shrinks below half of its parent's: O(n log^2 n) steps in all."""
+    count = span.bit_count()
+    if parent and 2 * count >= parent[3]:
+        ranked, lo, hi, _ = parent
+        while not span >> ranked[lo] & 1:
+            lo += 1
+        while not span >> ranked[hi - 1] & 1:
+            hi -= 1
+    else:
+        ranked = sorted(iter_bits(span), key=lambda v: adj[v].bit_count())
+        lo, hi = 0, count
+    return ranked, lo, hi, count
+
+
+def _decompose_span(g: Graph) -> MDNode:
+    """Tree of g; every span is a mask of input ids.
+
+    A tree whose every split halved its span would end above depth
+    n.bit_length(), so only long chains of small peels, as in threshold
+    graphs, get deeper, and only they need a well-placed seed for
+    `_components`. A span split at that depth or deeper carries a list of
+    its members ranked by ascending degree in g (`_steer`), and its first
+    component search starts at the list's last entry, its first
+    co-component search at its first. Above the limit a bad seed costs
+    O(|S|) steps per level, O(n log n) in all, and shallow trees rank
+    nothing.
 
     Each stack frame is an internal node under construction: (kind, built
-    children, pending child spans, depth, adj, order), the last two its
-    space."""
+    children, pending child spans, depth, steering list or None)."""
     limit = g.n.bit_length()
-    adj: list[int] = g.adj
-    order: Sequence[int] = range(g.n)
+    adj = g.adj
     span = g.full_mask
     depth = 0
-    stack: list[tuple[NodeKind, list[MDNode], list[int], int, list[int], Sequence[int]]] = []
+    steer: _Steer | None = None
+    stack: list[tuple[NodeKind, list[MDNode], list[int], int, _Steer | None]] = []
     while True:
         if span & (span - 1):
-            if depth == limit:
-                # every ancestor is shallower, so this span is in the input space
-                members = sorted(iter_bits(span), key=lambda v: g.adj[v].bit_count())
-                adj = _compress(adj, members, members)
-                order = members
-                span = (1 << len(members)) - 1
-            kind, pending = _split(adj, span)
-            stack.append((kind, [], pending, depth, adj, order))
+            if depth < limit:
+                kind, pending = _split(adj, span)
+            else:
+                steer = _steer(adj, span, steer)
+                ranked, lo, hi, _ = steer
+                kind, pending = _split(adj, span, 1 << ranked[hi - 1], 1 << ranked[lo])
+            stack.append((kind, [], pending, depth, steer))
             span = pending.pop()
             depth += 1
             continue
-        node = MDNode(NodeKind.LEAF, vertex=order[span.bit_length() - 1])
+        node = MDNode(NodeKind.LEAF, vertex=span.bit_length() - 1)
         # hand the finished node to its parent, closing every frame that
         # has no pending span left, until one does
         while stack:
-            kind, built, pending, depth, adj, order = stack[-1]
+            kind, built, pending, depth, steer = stack[-1]
             built.append(node)
             if pending:
                 span = pending.pop()
@@ -432,10 +462,9 @@ def decompose(g: Graph) -> MDTree:
     internal node are ordered by smallest vertex id in their spans, so equal
     graphs yield identical trees.
 
-    The splitting works in input ids down to depth n.bit_length(); a span
-    still unsplit there is relabelled by ascending degree, which steers
-    the component searches of its deep subtree (see `_decompose_span` and
-    `_components`). The leaves map back to input ids.
+    The splitting works in input ids throughout. From depth
+    n.bit_length() on, each span's members ranked by degree steer its
+    component searches (see `_decompose_span` and `_components`).
     """
     if g.n < 1:
         raise ValueError("cannot decompose an empty graph")

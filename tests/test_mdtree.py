@@ -226,6 +226,35 @@ def random_subset(rng: random.Random, n: int) -> int:
     return vertex_mask(v for v in range(n) if rng.random() < 0.7)
 
 
+def shuffled_rows(adj: list[int], seed: int) -> list[int]:
+    """The rows of adj with the vertex ids permuted at random."""
+    ids = list(range(len(adj)))
+    random.Random(seed).shuffle(ids)
+    return _compress(adj, ids, ids)
+
+
+def chain_over(adj: list[int], levels: int, seed: int, join_first: bool = True) -> Graph:
+    """A threshold chain of `levels` vertices around the graph with rows
+    adj, on shuffled ids: each new vertex joins every earlier vertex or
+    none, alternately, the first one joining iff join_first. Each adds one
+    tree level above adj's root when join_first is True for a Parallel or
+    prime root, or False for a Series or prime root."""
+    rows = list(adj)
+    for level in range(levels):
+        n = len(rows)
+        if (level % 2 == 0) == join_first:
+            rows = [row | 1 << n for row in rows] + [(1 << n) - 1]
+        else:
+            rows.append(0)
+    return Graph._from_masks(len(rows), shuffled_rows(rows, seed))
+
+
+def timed_decompose(g: Graph) -> tuple[MDTree, float]:
+    started = time.perf_counter()
+    t = decompose(g)
+    return t, time.perf_counter() - started
+
+
 class TestIsModule:
     def test_hub7_abc(self, hub7):
         assert is_module(hub7, [0, 1, 2])
@@ -532,7 +561,7 @@ class TestSearchKernels:
 
     def test_deep_chains_below_a_shallow_root_under_five_seconds(self):
         # a Parallel root over two shuffled threshold chains 3999 levels
-        # deep: each chain needs its own relabel, well below the root
+        # deep: each chain ranks its own members, well below the root
         n = 4000
         g = alternating_threshold(n)
         adj: list[int] = []
@@ -554,14 +583,89 @@ class TestSearchKernels:
         assert sol.weight == n // 2 + 1
 
     def test_chain_past_the_relabel_depth_keeps_its_tree(self):
-        # depth 11, past the relabel depth 12 .bit_length() = 4
+        # depth 11, past the depth 12 .bit_length() = 4 from which spans are ranked
         t = decompose(alternating_threshold(12))
         assert t.serialize() == (
             "Series[Parallel[Series[Parallel[Series[Parallel[Series[Parallel["
             "Series[Parallel[Series[1,2],3],4],5],6],7],8],9],10],11],12]")
 
+    def test_chain_over_a_thousand_small_children_under_two_seconds(self):
+        # a Parallel node of 1000 K2s 200 levels deep: each K2 holds far
+        # less than half of it, so it ranks its own two members instead of
+        # trimming the Parallel node's list past its siblings' entries
+        k2s = [1 << (v ^ 1) for v in range(2000)]
+        g = chain_over(k2s, 200, seed=5)
+        t, elapsed = timed_decompose(g)
+        assert verify_tree(g, t) == []
+        assert t.kind_counts() == {"prime": 0, "series": 1100, "parallel": 101, "leaf": 2200}
+        assert t.depth() == 202
+        assert elapsed < 2.0
+        # the 100 joining vertices and one K2
+        assert solve(g)[0].weight == 102
+
+    def test_chain_over_three_deep_chains_under_two_seconds(self):
+        # each of the three chains holds a third of the Parallel node below
+        # the outer chain, so each is ranked anew and then trims its own list
+        n = 2000
+        inner = alternating_threshold(n).adj
+        adj: list[int] = []
+        for seed in (1, 2, 3):
+            adj += [row << len(adj) for row in shuffled_rows(inner, seed)]
+        g = chain_over(adj, 40, seed=6)
+        t, elapsed = timed_decompose(g)
+        assert verify_tree(g, t) == []
+        assert t.kind_counts() == {"prime": 0, "series": 3020, "parallel": 3018, "leaf": 6040}
+        assert t.depth() == 40 + 1 + n - 1
+        assert elapsed < 2.0
+        # one inner chain's best clique, n / 2 + 1, and the 20 joining vertices
+        assert solve(g)[0].weight == n // 2 + 1 + 20
+
+    def test_chain_over_a_deep_prime_node_under_two_seconds(self):
+        # a shuffled path P_3000, a prime node with 3000 leaves, split 400
+        # levels deep with its pivot at its lowest input id
+        n = 3000
+        path = [(1 << v - 1 if v else 0) | (1 << v + 1 if v + 1 < n else 0) for v in range(n)]
+        g = chain_over(shuffled_rows(path, 7), 400, seed=8)
+        t, elapsed = timed_decompose(g)
+        assert verify_tree(g, t) == []
+        assert t.kind_counts() == {"prime": 1, "series": 200, "parallel": 200, "leaf": 3400}
+        assert t.depth() == 401
+        assert elapsed < 2.0
+        # an edge of the path and the 200 joining vertices
+        assert solve(g)[0].weight == 202
+
+    def test_chain_over_coprime_under_two_seconds(self):
+        # coprime 800's root is Series, so the chain starts with a
+        # Parallel level; below the chain its tree is 3 deep
+        g = chain_over(coprime_graph(800).adj, 200, seed=9, join_first=False)
+        t, elapsed = timed_decompose(g)
+        assert verify_tree(g, t) == []
+        # coprime 800's tree, {"prime": 1, "series": 1, "parallel": 125,
+        # "leaf": 800}, under 100 levels of each kind
+        assert t.kind_counts() == {"prime": 1, "series": 101, "parallel": 225, "leaf": 1000}
+        assert t.depth() == 203
+        assert elapsed < 2.0
+        # 1 and the 139 primes up to 800 are pairwise coprime, and no 141
+        # numbers are; the chain adds its 100 joining vertices
+        assert solve(g)[0].weight == 1 + 139 + 100
+
 
 class TestDecomposeMemory:
+    def test_deep_chain_peak_is_the_tree(self):
+        # the finished tree of a shuffled threshold chain of 8000 vertices
+        # holds about 14 MiB; decompose keeps no copy of the graph on the
+        # way, so its peak stays within 2 MiB of that
+        n = 8000
+        g = Graph._from_masks(n, shuffled_rows(alternating_threshold(n).adj, 81))
+        tracemalloc.start()
+        try:
+            t = decompose(g)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert t.depth() == n - 1
+        assert peak - held < 2 << 20
+
     def test_sparse_random_graph_peak(self):
         # a random graph of average degree 3 on 8192 vertices, with one
         # prime node; decompose peaks near 20 MiB here, and an index of the

@@ -27,7 +27,7 @@ from mdclique import (
     verify_tree,
     write_dimacs,
 )
-from mdclique import graph as graph_module
+from mdclique import graph as graph_module, mdtree as mdtree_module
 from mdclique.graph import iter_bits, vertex_mask
 from conftest import edges_by_bits, write_dimacs_per_edge
 
@@ -40,21 +40,48 @@ def threshold_graph(joins: list[bool], ids: list[int], weights: list[int] | None
     return Graph(n, [(ids[q], ids[p]) for p in range(n) if joins[p] for q in range(p)], weights)
 
 
+def nested_threshold(blocks: list[list[bool]], join: bool, outer: list[bool],
+                     ids: list[int], weights: list[int] | None = None) -> Graph:
+    """The threshold chain `outer` around the union, or with join the join,
+    of the threshold graphs `blocks`, each given by its joins as in
+    threshold_graph. The blocks take the first positions, in order, and the
+    chain the rest; the vertex at position p has id ids[p]."""
+    block_of = [b for b, joins in enumerate(blocks) for _ in joins]
+    joins = [j for block in blocks for j in block] + outer
+    inner = len(block_of)
+    n = len(joins)
+    return Graph(n, [(ids[q], ids[p]) for p in range(n) for q in range(p)
+                     if (joins[p] if p >= inner or block_of[q] == block_of[p] else join)],
+                 weights)
+
+
 @st.composite
 def graphs(draw, min_n: int = 1, max_n: int = 14) -> Graph:
     """Graphs on min_n..max_n vertices with weights in 1..20 and either
     arbitrary edges, the edges of a random cograph (a tree with no prime
-    node), or those of a threshold graph on shuffled ids, whose chain is
-    often deeper than n.bit_length(), the depth where `decompose`
-    relabels."""
+    node), those of a threshold graph on shuffled ids, whose chain is
+    often deeper than n.bit_length(), the depth from which `decompose`
+    ranks spans by degree, or, on 2..14 vertices, those of a threshold
+    chain around the union or join of 2-3 threshold graphs, on shuffled
+    ids, whose blocks often sit below that depth."""
     n = draw(st.integers(min_n, max_n))
-    shape = draw(st.sampled_from(["arbitrary", "cograph", "threshold"])) if n else "arbitrary"
+    shapes = ["arbitrary", "cograph", "threshold"] + (["nested"] if 2 <= n <= 14 else [])
+    shape = draw(st.sampled_from(shapes)) if n else "arbitrary"
     weights = draw(st.lists(st.integers(1, 20), min_size=n, max_size=n))
     if shape == "cograph":
         edges = list(random_cograph(n, draw(st.integers(0, 2**32))).edges())
     elif shape == "threshold":
         joins = draw(st.lists(st.booleans(), min_size=n, max_size=n))
         return threshold_graph(joins, draw(st.permutations(range(n))), weights)
+    elif shape == "nested":
+        k = draw(st.integers(2, min(3, n)))
+        inner = draw(st.integers(k, n))
+        cuts = sorted(draw(st.sets(st.integers(1, inner - 1), min_size=k - 1, max_size=k - 1)))
+        blocks = [draw(st.lists(st.booleans(), min_size=b - a, max_size=b - a))
+                  for a, b in zip([0, *cuts], [*cuts, inner])]
+        outer = draw(st.lists(st.booleans(), min_size=n - inner, max_size=n - inner))
+        return nested_threshold(blocks, draw(st.booleans()), outer,
+                                draw(st.permutations(range(n))), weights)
     else:
         pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
         keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
@@ -62,13 +89,24 @@ def graphs(draw, min_n: int = 1, max_n: int = 14) -> Graph:
     return Graph(n, edges, weights)
 
 
-# threshold chains on 8 shuffled vertices on each side of decompose's
-# relabel depth, 8 .bit_length() = 4: at depth 4 the deepest internal node
-# sits at depth 3 and no span is relabelled; at depth 5 the one at depth 4
-# is
+# threshold chains on 8 shuffled vertices on each side of the depth from
+# which decompose ranks spans by degree, 8 .bit_length() = 4: at depth 4 the
+# deepest internal node sits at depth 3 and no span is ranked; at depth 5
+# the one at depth 4 is
 _SHUFFLED_8 = [5, 2, 7, 0, 3, 6, 1, 4]
 _AT_LIMIT = threshold_graph([0, 1, 0, 1, 0, 0, 0, 0], _SHUFFLED_8)
 _PAST_LIMIT = threshold_graph([0, 1, 0, 1, 0, 1, 1, 1], _SHUFFLED_8)
+
+
+# threshold chains of 5 levels around three blocks, on 11 and 14 shuffled
+# vertices, so the blocks' parent sits at depth 5, past the limit 4. Each
+# block holds less than half of that parent and ranks its own members: a
+# K2, or a threshold graph Parallel[Series[a,b],c] whose Series child holds
+# two of its three vertices and so trims the block's new list.
+_BELOW_HALF = nested_threshold([[0, 1]] * 3, False, [1, 0, 1, 0, 1],
+                               [7, 2, 10, 4, 0, 9, 5, 1, 8, 3, 6])
+_RERANK_STEERS = nested_threshold([[0, 1, 0]] * 3, True, [0, 1, 0, 1, 0],
+                                  [12, 3, 7, 0, 10, 5, 13, 1, 8, 4, 11, 2, 9, 6])
 
 
 def test_limit_examples_straddle_the_relabel_depth():
@@ -100,6 +138,38 @@ def test_decompose_passes_verify_tree(g):
     assert verify_tree(g, decompose(g)) == []
 
 
+def test_deep_spans_take_both_ranking_rules():
+    # past the limit, a child holding less than half of its parent's span
+    # ranks its own members, and a chain nested under such a child trims
+    # that new list; the two examples take one path each
+    assert decompose(_BELOW_HALF).depth() == 7
+    assert decompose(_RERANK_STEERS).depth() == 8
+    taken = {"below half": 0, "steered by a re-rank": 0}
+    steer = mdtree_module._steer
+    reranked: list[list[int]] = []
+
+    def counted(adj, span, parent):
+        got = steer(adj, span, parent)
+        if parent and got[0] is not parent[0]:
+            taken["below half"] += 1
+            reranked.append(got[0])
+        elif parent and any(got[0] is ranked for ranked in reranked):
+            taken["steered by a re-rank"] += 1
+        return got
+
+    @given(graphs())
+    @example(_BELOW_HALF)
+    @example(_RERANK_STEERS)
+    def check(g):
+        reranked.clear()
+        with mock.patch.object(mdtree_module, "_steer", counted):
+            t = decompose(g)
+        assert verify_tree(g, t) == []
+
+    check()
+    assert all(taken.values()), taken
+
+
 def kinds_and_spans(tree, relabel) -> set[tuple[NodeKind, int]]:
     """Every node of the tree as (kind, span), the span mapped through
     relabel, a sequence from the tree's vertex ids to other ids."""
@@ -110,6 +180,8 @@ def kinds_and_spans(tree, relabel) -> set[tuple[NodeKind, int]]:
 @given(graphs(max_n=30), st.randoms(use_true_random=False))
 @example(_AT_LIMIT, random.Random(1))
 @example(_PAST_LIMIT, random.Random(1))
+@example(_BELOW_HALF, random.Random(1))
+@example(_RERANK_STEERS, random.Random(1))
 def test_decompose_invariant_under_relabelling(g, rng):
     # the search seeds, the pivot and the degree order of deep spans all
     # depend on the ids; the strong modules and their kinds must not
