@@ -5,15 +5,15 @@ contributes its own vertex; a parallel node takes its best child (no clique
 crosses disconnected parts); a series node takes the union of all child
 cliques (all parts are fully interconnected); a prime node builds the
 weighted quotient on its children, already in the solver's search order,
-runs the branch-and-bound solver on it, and expands the chosen quotient
-vertices back to their child cliques.
+runs the branch-and-bound solver on it, and takes the child cliques of the
+chosen quotient vertices. Each node keeps only its clique's weight and the
+children that clique uses; one walk from the root collects the vertices,
+so the fold stays linear in the size of the tree however deep it is.
 """
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, replace
-from itertools import chain
-from operator import itemgetter
 
 from .graph import Graph, Solution, SolveStatus
 from .mdtree import MDNode, MDTree, NodeKind, decompose, quotient
@@ -43,41 +43,50 @@ def solve_node(g: Graph, node: MDNode, config: SolverConfig = DEFAULT_CONFIG) ->
     lower bound)."""
     # the colour bound closes dense prime quotients that the suffix bound cannot
     prime_config = replace(config, bound=Bound.COLOUR)
-    order = [node]
-    for parent in order:
-        order.extend(parent.children)
+    nodes = [node]
+    for parent in nodes:
+        nodes.extend(parent.children)
     # reversed breadth-first order puts every child before its parent;
-    # inner nodes concatenate child cliques unsorted and only the returned
-    # clique is sorted, since sorting at every level is quadratic on deep trees
-    solved: dict[MDNode, tuple[int, tuple[int, ...]]] = {}
+    # joining child cliques at every level would be quadratic on deep trees
+    weight: dict[MDNode, int] = {}
+    used: dict[MDNode, tuple[MDNode, ...]] = {}
     timed_out = False
-    for current in reversed(order):
+    for current in reversed(nodes):
         if current.is_leaf:
-            v = current.vertex
-            solved[current] = (g.weights[v], (v,))
+            weight[current] = g.weights[current.vertex]
             continue
-        parts = [solved.pop(child) for child in current.children]
+        children = current.children
+        parts = [weight.pop(child) for child in children]
         if current.kind is NodeKind.PARALLEL:
-            solved[current] = max(parts, key=itemgetter(0))
+            heaviest = max(range(len(parts)), key=parts.__getitem__)
+            weight[current] = parts[heaviest]
+            used[current] = (children[heaviest],)
         elif current.kind is NodeKind.SERIES:
-            solved[current] = (sum(weight for weight, _ in parts),
-                               tuple(chain.from_iterable(vertices for _, vertices in parts)))
+            weight[current] = sum(parts)
+            used[current] = children
         else:
             # the quotient is built in the order the search would impose on
             # it, so the search keeps it as it is and gathers no second copy
-            reps = [(c.span & -c.span).bit_length() - 1 for c in current.children]
+            reps = [(c.span & -c.span).bit_length() - 1 for c in children]
             repmask = sum(1 << r for r in reps)
             order = _search_order(prime_config.ordering, len(reps),
                                   lambda i: (g.adj[reps[i]] & repmask).bit_count(),
-                                  lambda i: parts[i][0])
-            q = quotient(g, current, [weight for weight, _ in parts], order)
+                                  parts.__getitem__)
+            q = quotient(g, current, parts, order)
             picked = max_weight_clique(q, prime_config)
             timed_out = timed_out or picked.status is SolveStatus.TIMED_OUT
-            solved[current] = (picked.weight, tuple(chain.from_iterable(
-                parts[order[qv]][1] for qv in picked.vertices)))
-    weight, vertices = solved[node]
+            weight[current] = picked.weight
+            used[current] = tuple(children[order[qv]] for qv in picked.vertices)
+    vertices: list[int] = []
+    pending = [node]
+    while pending:
+        current = pending.pop()
+        if current.is_leaf:
+            vertices.append(current.vertex)
+        else:
+            pending.extend(used[current])
     status = SolveStatus.TIMED_OUT if timed_out else SolveStatus.OPTIMAL
-    return Solution(tuple(sorted(vertices)), weight, status)
+    return Solution(tuple(sorted(vertices)), weight[node], status)
 
 
 def solve(g: Graph, config: SolverConfig = DEFAULT_CONFIG, *,

@@ -7,7 +7,10 @@ inside {order[i..n-1]} containing order[i]" and records the suffix optimum
 in `suffix_best[i]`. Two prunes drive it: the remaining candidates' total
 weight, and the suffix bound of the earliest candidate. Within one suffix
 pass the optimum can improve by at most the weight of order[i], so the pass
-aborts as soon as that cap is reached.
+aborts as soon as that cap is reached. A child node is counted and bounded
+by its parent before it is entered, so the many children that the
+remaining weight prunes cost no call; weighted candidate sets are summed a
+byte at a time from per-byte tables.
 
 The colour bound (MCQ/BBMC, weighted as in Kumlander 2004) greedily
 colours each node's candidates into independent sets; a clique takes at
@@ -24,6 +27,7 @@ import sys
 import time
 from dataclasses import dataclass
 from enum import Enum
+from operator import getitem
 from typing import Callable
 
 from .graph import Graph, Solution, SolveStatus, _compress, iter_bits
@@ -84,6 +88,52 @@ def order_vertices(g: Graph, strategy: Ordering) -> list[int]:
     return _search_order(strategy, g.n, g.degree, g.weights.__getitem__)
 
 
+def _bit_weight(mask: int, weights: list[int]) -> int:
+    """Sum of weights[v] over the set bits v of mask, one bit at a time."""
+    total = 0
+    while mask:
+        low = mask & -mask
+        total += weights[low.bit_length() - 1]
+        mask ^= low
+    return total
+
+
+def _byte_tables(weights: list[int]) -> list[list[int]]:
+    """Table k maps a byte b to the sum of weights[8k + t] over the set bits
+    t of b. Each table doubles from [0], one weight at a time, so it costs
+    one list comprehension per weight rather than a Python step per entry."""
+    tables = []
+    for start in range(0, len(weights), 8):
+        table = [0]
+        for w in weights[start:start + 8]:
+            table += [x + w for x in table]
+        tables.append(table)
+    return tables
+
+
+def _weigher(weights: list[int]) -> Callable[[int], int]:
+    """A function that sums weights[v] over the set bits v of a mask.
+
+    A mask with fewer than len(weights) / 64 bits walks its bits, the
+    sparse rule of `_compress`; any other adds one table entry per byte of
+    the mask. The tables are built at the first such mask, so a search that
+    only meets sparse masks never builds them.
+    """
+    n = len(weights)
+    size = (n + 7) // 8
+    tables = None
+
+    def weigh(mask: int) -> int:
+        nonlocal tables
+        if mask.bit_count() << 6 < n:
+            return _bit_weight(mask, weights)
+        if tables is None:
+            tables = _byte_tables(weights)
+        return sum(map(getitem, tables, mask.to_bytes(size, "little")))
+
+    return weigh
+
+
 class CliqueSearch:
     """One branch-and-bound run over a fixed graph and config.
 
@@ -117,13 +167,20 @@ class CliqueSearch:
         return Solution(vertices, best_weight, status)
 
     def _suffix(self, deadline: float) -> tuple[int, int, SolveStatus]:
-        """Östergård's search; returns (weight, order-space mask, status)."""
+        """Östergård's search; returns (weight, order-space mask, status).
+
+        A parent counts each child node, runs the deadline check every 4096
+        nodes, sums the child's candidate weight and enters the child only
+        if that total can beat the incumbent. Inside a node, `need` is what
+        the clique must still add; it changes only when a child returns or
+        the incumbent improves.
+        """
         n = len(self.order)
         perf_counter = time.perf_counter
         radj = self._radj
         rw = self._rw
         suffix_best = self.suffix_best
-        unit = min(rw) == max(rw) == 1
+        weigh = int.bit_count if min(rw) == max(rw) == 1 else _weigher(rw)
         nodes = 0
         best_weight = 0
         best_mask = 0
@@ -131,41 +188,36 @@ class CliqueSearch:
         # stop ends the pass (cap reached or deadline), timed_out the run
         stop = timed_out = False
 
-        def expand(candidates: int, weight: int, clique: int) -> None:
+        def expand(candidates: int, weight: int, clique: int, remaining: int) -> None:
             nonlocal nodes, best_weight, best_mask, stop, timed_out
-            nodes += 1
-            if nodes & 4095 == 0 and deadline and perf_counter() > deadline:
-                stop = timed_out = True
-                return
-            if unit:
-                remaining = candidates.bit_count()
-            else:
-                remaining = 0
-                m = candidates
-                while m:
-                    low = m & -m
-                    remaining += rw[low.bit_length() - 1]
-                    m ^= low
-            while candidates:
-                if weight + remaining <= best_weight:
-                    return
+            need = best_weight - weight
+            while remaining > need and candidates:
                 low = candidates & -candidates
                 j = low.bit_length() - 1
-                if weight + suffix_best[j] <= best_weight:
+                if suffix_best[j] <= need:
                     return
                 candidates ^= low
                 remaining -= rw[j]
                 grown = weight + rw[j]
                 next_candidates = candidates & radj[j]
                 if next_candidates:
-                    expand(next_candidates, grown, clique | low)
+                    nodes += 1
+                    if nodes & 4095 == 0 and deadline and perf_counter() > deadline:
+                        stop = timed_out = True
+                        return
+                    total = weigh(next_candidates)
+                    if grown + total > best_weight:
+                        expand(next_candidates, grown, clique | low, total)
+                        if stop:
+                            return
+                        need = best_weight - weight
                 elif grown > best_weight:
                     best_weight = grown
                     best_mask = clique | low
                     if grown == cap:
                         stop = True
-                if stop:
-                    return
+                        return
+                    need = best_weight - weight
 
         # expand recurses once per clique vertex
         old_limit = sys.getrecursionlimit()
@@ -176,7 +228,13 @@ class CliqueSearch:
                 stop = False
                 candidates = radj[i] >> (i + 1) << (i + 1)
                 if candidates:
-                    expand(candidates, rw[i], 1 << i)
+                    nodes += 1
+                    if nodes & 4095 == 0 and deadline and perf_counter() > deadline:
+                        timed_out = True
+                        break
+                    total = weigh(candidates)
+                    if rw[i] + total > best_weight:
+                        expand(candidates, rw[i], 1 << i, total)
                 elif rw[i] > best_weight:
                     best_weight = rw[i]
                     best_mask = 1 << i
@@ -199,14 +257,18 @@ class CliqueSearch:
         is branched on, the candidates left are those coloured up to v, so
         a clique among them takes at most one vertex of each class: v's
         bound caps its weight. Bounds grow along the list, so the first
-        one that fails ends the node. The current frame lives in locals
-        and its ancestors on `stack`, so search depth costs no recursion.
+        one that fails ends the node. A child is counted, and coloured
+        against the incumbent, by its parent before it is entered. The
+        current frame lives in locals and its ancestors on `stack`, so
+        search depth costs no recursion.
         """
         perf_counter = time.perf_counter
         radj = self._radj
         rw = self._rw
-        # q & apart[j] drops j and its neighbours from q
-        apart = [~(a | 1 << j) for j, a in enumerate(radj)]
+        # q & apart[j] drops j and its neighbours from q; a positive mask
+        # keeps the AND off CPython's two's-complement path for negative ints
+        full = (1 << len(rw)) - 1
+        apart = [full ^ (a | 1 << j) for j, a in enumerate(radj)]
 
         def colour(candidates: int, need: int) -> tuple[list[int], list[int]]:
             """Greedy colouring: each class starts from the lowest uncoloured
@@ -220,6 +282,7 @@ class CliqueSearch:
             while candidates:
                 q = candidates
                 top = 0
+                room = need - base
                 while q:
                     low = q & -q
                     j = low.bit_length() - 1
@@ -227,7 +290,7 @@ class CliqueSearch:
                     q &= apart[j]
                     if rw[j] > top:
                         top = rw[j]
-                    if base + top > need:
+                    if top > room:
                         listed.append(j)
                         bounds.append(base + top)
                 base += top
@@ -236,7 +299,7 @@ class CliqueSearch:
         nodes = 1
         best_weight = 0
         best_mask = 0
-        candidates = (1 << len(rw)) - 1
+        candidates = full
         weight = clique = 0
         listed, bounds = colour(candidates, 0)
         index = len(listed) - 1

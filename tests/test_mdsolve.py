@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import random
 import sys
+import time
 from dataclasses import replace
 
 import pytest
@@ -219,6 +220,42 @@ class TestSolve:
             assert sys.getrecursionlimit() == 1000
         finally:
             sys.setrecursionlimit(old_limit)
+
+    def test_deep_weighted_threshold_folds_in_linear_time(self):
+        # a chain of 15999 Series and Parallel levels: a fold that joined
+        # child cliques at every level would take time quadratic in the depth
+        n = 16000
+        rng = random.Random(16)
+        # at[p] is the p-th vertex added; at an odd position it joins every
+        # vertex added before it
+        at = list(range(n))
+        rng.shuffle(at)
+        weights = [rng.randint(1, 100) for _ in range(n)]
+        adj = [0] * n
+        earlier = later = 0
+        for p, v in enumerate(at):
+            if p % 2:
+                adj[v] |= earlier
+            earlier |= 1 << v
+        # the best clique added first at position p takes every odd
+        # position after it
+        optimum = later_weight = 0
+        for p in range(n - 1, -1, -1):
+            v = at[p]
+            adj[v] |= later
+            optimum = max(optimum, weights[v] + later_weight)
+            if p % 2:
+                later |= 1 << v
+                later_weight += weights[v]
+        g = Graph._from_masks(n, adj, weights)
+        tree = decompose(g)
+        assert tree.depth() == n - 1
+        started = time.perf_counter()
+        sol = solve_node(g, tree.root)
+        elapsed = time.perf_counter() - started
+        assert elapsed < 1.0
+        assert sol.status is SolveStatus.OPTIMAL and sol.weight == optimum
+        assert is_clique(g, sol.vertices) and set_weight(g, sol.vertices) == optimum
 
     def test_weights_carried_through_tree(self):
         g = Graph(7, [(0, 1), (0, 2), (1, 2), (0, 3), (1, 3), (2, 3), (3, 4), (3, 5), (4, 6), (5, 6)],

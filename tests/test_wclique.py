@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import random
 import sys
+from unittest import mock
 
 import pytest
 
@@ -21,6 +22,7 @@ from mdclique import (
     order_vertices,
     set_weight,
 )
+from mdclique import wclique
 from conftest import weighted_gnp
 
 PATH_QUOTIENT = Graph(4, [(0, 1), (1, 2), (2, 3)], weights=[3, 1, 1, 1])
@@ -121,6 +123,107 @@ class TestSearchState:
         search = CliqueSearch(g)
         search.run()
         assert search.suffix_best[-1] == g.weights[search.order[-1]]
+
+
+def suffix_steps(suffix_best: list[int]) -> list[tuple[int, int]]:
+    """(i, suffix_best[i]) at i = 0 and wherever the value changes: the
+    whole nonincreasing list in a few pairs."""
+    return [(i, b) for i, b in enumerate(suffix_best) if i == 0 or b != suffix_best[i - 1]]
+
+
+# Library graphs and the exact work both searches do on them: (graph,
+# suffix nodes, colour nodes, suffix witness, colour witness, suffix_best
+# steps). A change to either search's pruning or branching order moves
+# these; one that only makes each node cheaper must not.
+PINNED = [
+    pytest.param(lambda: gnp(45, 0.6, 3), 1402, 28,
+                 (3, 5, 9, 11, 12, 22, 39, 40, 43), (3, 5, 9, 11, 12, 20, 39, 40, 43),
+                 [(0, 9), (1, 8), (5, 7), (16, 6), (25, 5), (32, 4), (36, 3), (39, 2), (43, 1)],
+                 id="gnp-45"),
+    pytest.param(lambda: gnp(90, 0.5, 11), 6485, 288,
+                 (1, 14, 20, 24, 31, 35, 44, 50, 65), (1, 23, 44, 52, 56, 58, 75, 77, 85),
+                 [(0, 9), (4, 8), (21, 7), (45, 6), (51, 5), (65, 4), (79, 3), (85, 2), (88, 1)],
+                 id="gnp-90"),
+    pytest.param(lambda: gnp(130, 0.3, 4), 1929, 122,
+                 (8, 48, 53, 72, 75, 93, 118), (8, 48, 53, 72, 75, 93, 118),
+                 [(0, 7), (10, 6), (30, 5), (77, 4), (99, 3), (119, 2), (127, 1)],
+                 id="gnp-130"),
+    pytest.param(lambda: weighted_gnp(61, 0.55, 7, 100), 2112, 224,
+                 (4, 6, 9, 19, 25, 29, 30, 37), (4, 6, 9, 19, 25, 29, 30, 37),
+                 [(0, 539), (4, 513), (7, 460), (18, 440), (20, 405), (29, 392), (32, 367),
+                  (34, 363), (37, 280), (44, 210), (45, 162), (54, 111), (58, 99), (59, 93),
+                  (60, 1)],
+                 id="weighted-61"),
+    pytest.param(lambda: weighted_gnp(100, 0.45, 2, 200), 6378, 559,
+                 (22, 34, 37, 53, 59, 60, 71), (22, 34, 37, 53, 59, 60, 71),
+                 [(0, 1088), (1, 1037), (4, 919), (5, 916), (14, 904), (17, 873), (43, 782),
+                  (46, 771), (64, 690), (68, 667), (77, 589), (80, 545), (84, 482), (91, 319),
+                  (92, 315), (99, 186)],
+                 id="weighted-100"),
+    pytest.param(lambda: weighted_gnp(150, 0.3, 5, 10), 4368, 722,
+                 (52, 59, 67, 80, 117, 122), (52, 59, 67, 80, 117, 122),
+                 [(0, 48), (10, 47), (21, 45), (75, 38), (87, 32), (97, 29), (132, 25),
+                  (138, 18), (141, 17), (149, 8)],
+                 id="weighted-150"),
+]
+
+
+class TestPinnedWork:
+    @pytest.mark.parametrize("make, suffix_nodes, colour_nodes, suffix_witness, colour_witness, steps",
+                             PINNED)
+    def test_nodes_witness_and_suffix_bounds(self, make, suffix_nodes, colour_nodes,
+                                             suffix_witness, colour_witness, steps):
+        g = make()
+        search = CliqueSearch(g)
+        sol = search.run()
+        assert (search.nodes, sol.vertices) == (suffix_nodes, suffix_witness)
+        assert suffix_steps(search.suffix_best) == steps
+        assert sol.weight == steps[0][1] == set_weight(g, sol.vertices)
+        colour = CliqueSearch(g, SolverConfig(bound=Bound.COLOUR))
+        colour_sol = colour.run()
+        assert (colour.nodes, colour_sol.vertices) == (colour_nodes, colour_witness)
+        assert colour_sol.weight == sol.weight
+        assert colour.suffix_best == [0] * g.n
+
+
+class TestWeightSums:
+    @pytest.mark.parametrize("n, p, seed", [(70, 0.08, 1), (130, 0.05, 2), (200, 0.03, 3)])
+    def test_both_paths_give_suffix_optima(self, n, p, seed):
+        # with n >= 64, candidate masks of fewer than n / 64 bits walk their
+        # bits and larger ones sum the per-byte tables; both must give the
+        # suffix optima that brute force finds
+        g = weighted_gnp(n, p, seed, 100)
+        with mock.patch.object(wclique, "_bit_weight", wraps=wclique._bit_weight) as walked, \
+                mock.patch.object(wclique, "_byte_tables", wraps=wclique._byte_tables) as built:
+            search = CliqueSearch(g)
+            sol = search.run()
+        assert walked.call_count > 0
+        assert built.call_count == 1
+        for i in range(n):
+            suffix, _ = induced_subgraph(g, search.order[i:])
+            assert search.suffix_best[i] == brute_force_clique(suffix, limit=n).weight
+        assert sol.weight == search.suffix_best[0]
+        assert_witness(g, sol)
+
+    def test_byte_tables_sum_every_byte(self):
+        rng = random.Random(5)
+        weights = [rng.randint(1, 1000) for _ in range(21)]
+        tables = wclique._byte_tables(weights)
+        assert [len(t) for t in tables] == [256, 256, 32]
+        weigh = wclique._weigher(weights)
+        for mask in [0, 1, (1 << 21) - 1, *(rng.getrandbits(21) for _ in range(200))]:
+            expected = sum(w for v, w in enumerate(weights) if mask >> v & 1)
+            assert weigh(mask) == wclique._bit_weight(mask, weights) == expected
+
+    def test_sparse_search_builds_no_tables(self):
+        # every candidate mask of a perfect matching on 128 vertices has at
+        # most one bit, below 128 / 64
+        n = 128
+        g = Graph(n, [(v, v + 1) for v in range(0, n, 2)], [v % 7 + 1 for v in range(n)])
+        with mock.patch.object(wclique, "_byte_tables", wraps=wclique._byte_tables) as built:
+            sol = max_weight_clique(g)
+        assert built.call_count == 0
+        assert sol.weight == max(g.weights[v] + g.weights[v + 1] for v in range(0, n, 2))
 
 
 class TestTimeout:
