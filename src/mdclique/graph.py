@@ -279,42 +279,37 @@ def _gather_dense(masks: list[int], n: int, cols: list[int]) -> list[int]:
     return [int(transposed[x::height], 2) for x in range(height)]
 
 
-def _compress(adj: list[int], rows: list[int], cols: list[int]) -> list[int]:
-    """The submatrix of adj on the given rows and columns: bit j of entry i
-    is bit cols[j] of adj[rows[i]]. Rows may repeat and may hold bits
-    outside cols; no symmetry is assumed.
+def _compress(adj: list[int], ids: list[int]) -> list[int]:
+    """The rows of adj on the distinct ids, renamed to positions in ids:
+    bit j of entry i is bit ids[j] of adj[ids[i]]. Rows may hold bits
+    outside ids; no symmetry is assumed.
 
     A row with fewer than len(adj) / 64 bits is renamed bit by bit through
-    a table from column to position, so a sparse input costs O(n + m)
-    Python steps here. Every other row goes through `_gather_dense`, a
-    double transposition at C speed, a block of rows at a time. A block's
-    matrix and its transpose hold at most _GATHER_CHARS digits together:
-    the strings of a whole dense graph would take about 2 n (n + k) bytes
-    of scratch, 1 GiB at n = k = 16384.
+    a table from id to position, so a sparse input costs O(n + m) Python
+    steps here. Every other row goes through `_gather_dense`, a double
+    transposition at C speed, a block of rows at a time. A block's matrix
+    and its transpose hold at most _GATHER_CHARS digits together: the
+    strings of k dense rows at once would take about 2 k (n + k) bytes of
+    scratch, 1 GiB at n = k = 16384.
 
-    With rows and cols both 0..len(adj)-1 the submatrix is adj itself
-    (a row holds no bit at or above len(adj)), and a copy is returned.
+    With ids 0..len(adj)-1 the result is adj itself (a row holds no bit at
+    or above len(adj)), and a copy is returned.
     """
-    if rows == cols and len(rows) == len(adj) and rows == list(range(len(adj))):
-        return list(adj)
-    out = [0] * len(rows)
-    if not cols:
-        return out
     n = len(adj)
-    step = max(1, _GATHER_CHARS // (n + len(cols)))
-    # a row is sparse below n / 64 bits; the position table holds one
-    # position per column, so with a repeated column no row is sparse
-    sparse_below = n if len(set(cols)) == len(cols) else 0
+    if len(ids) == n and ids == list(range(n)):
+        return list(adj)
+    out = [0] * len(ids)
+    step = max(1, _GATHER_CHARS // (n + len(ids)))
     place = None
-    for start in range(0, len(rows), step):
+    for start in range(0, len(ids), step):
         block = []
-        for i in range(start, min(start + step, len(rows))):
-            mask = adj[rows[i]]
-            if mask.bit_count() << 6 >= sparse_below:
+        for i in range(start, min(start + step, len(ids))):
+            mask = adj[ids[i]]
+            if mask.bit_count() << 6 >= n:
                 block.append(i)
             elif mask:
                 if place is None:
-                    place = dict(zip(cols, range(len(cols))))
+                    place = dict(zip(ids, range(len(ids))))
                 renamed = 0
                 for c in iter_bits(mask):
                     j = place.get(c)
@@ -322,7 +317,7 @@ def _compress(adj: list[int], rows: list[int], cols: list[int]) -> list[int]:
                         renamed |= 1 << j
                 out[i] = renamed
         if block:
-            gathered = _gather_dense([adj[rows[i]] for i in block], n, cols)
+            gathered = _gather_dense([adj[ids[i]] for i in block], n, ids)
             for i, row in zip(block, gathered):
                 out[i] = row
     return out
@@ -337,7 +332,7 @@ def induced_subgraph(g: Graph, s: Iterable[int]) -> tuple[Graph, dict[int, int]]
     old_ids = list(iter_bits(_check_vertices(g, s)))
     sub = Graph._from_masks(
         len(old_ids),
-        _compress(g.adj, old_ids, old_ids),
+        _compress(g.adj, old_ids),
         [g.weights[v] for v in old_ids],
         [g.label(v) for v in old_ids] if g.labels is not None else None,
     )

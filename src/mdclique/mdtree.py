@@ -35,10 +35,16 @@ whichever set is smaller, so peeling one vertex off a large span costs
 about the small side. Each later component is searched only inside the
 still-unassigned rest.
 
-It is not linear-time, but it is bitmask-fast in practice; the tree is
-validated by `verify_tree`, whose primality check uses plain module
-closures instead of the forcing graph, and by a brute-force module
-enumerator in tests.
+It is not linear-time, but it is bitmask-fast in practice. The tree is
+validated by a brute-force module enumerator in tests and by
+`verify_tree`, which keeps pace with `decompose` without its forcing
+graph. A prime quotient has a nontrivial module M iff one of three steps
+finds one: if M avoids vertex 0 it lies inside a class of the refinement
+avoiding 0; if it holds 0 but avoids 1, inside a class of the refinement
+avoiding 1; if it holds both, it holds the module closure of {0, 1}. So
+two refinements and one closure decide primality. Module and cross-edge
+checks run from the smaller side of each cut, so a wide Parallel or
+Series node costs the size of its children, not their number times n.
 """
 from __future__ import annotations
 
@@ -154,11 +160,21 @@ def is_module(g: Graph, s: Iterable[int]) -> bool:
 
 
 def _is_module_mask(adj: list[int], universe: int, mask: int) -> bool:
-    for x in iter_bits(universe & ~mask):
-        hit = adj[x] & mask
-        if hit and hit != mask:
-            return False
-    return True
+    """True iff mask, a nonempty subset of universe, is a module of the
+    universe-induced subgraph.
+
+    An outside vertex x splits the mask iff it sees some members and not
+    others; by symmetry of adj, iff two members' rows differ at x. So the
+    check runs from the smaller side, as the cross-edge checks of
+    `verify_tree` do: a small mask compares its members' rows on the
+    outside, and a large one scans the outside. A child of a wide Parallel
+    or Series node then costs its own size, not its parent's.
+    """
+    outside = universe & ~mask
+    if mask.bit_count() <= outside.bit_count():
+        row = adj[(mask & -mask).bit_length() - 1]
+        return not any((row ^ adj[v]) & outside for v in iter_bits(mask))
+    return all(adj[x] & mask in (0, mask) for x in iter_bits(outside))
 
 
 def _reach(rows: list[int] | Mapping[int, int], start: int, within: int, flip: int = 0,
@@ -499,7 +515,7 @@ def quotient(g: Graph, node: MDNode, child_weights: list[int],
     # a symmetric submatrix of the symmetric, loop-free adjacency is itself
     # symmetric and loop-free, so the trusted constructor applies; it still
     # checks that every weight is a positive integer
-    return Graph._from_masks(k, _compress(g.adj, reps, reps), child_weights)
+    return Graph._from_masks(k, _compress(g.adj, reps), child_weights)
 
 
 def enumerate_modules_bruteforce(g: Graph, limit: int = 15) -> list[tuple[int, ...]]:
@@ -518,23 +534,29 @@ def enumerate_modules_bruteforce(g: Graph, limit: int = 15) -> list[tuple[int, .
 
 
 def _quotient_is_primitive(qadj: list[int]) -> bool:
-    """True iff the graph with adjacency qadj has only trivial modules.
+    """True iff the graph with adjacency qadj (k >= 2 vertices) has only
+    trivial modules.
 
-    Exact, with k - 1 closures and one refinement instead of a closure per
-    pair. A nontrivial module M either avoids vertex 0 or contains it.
-    Every module avoiding 0 lies inside one class of the maximal modules
-    avoiding 0, and each class is itself a module avoiding 0; so some such
-    M exists iff some class has two members. If 0 is in M, M holds some
-    j != 0 and so holds the module closure of {0, j}; that closure is a
-    module with two members, so some such M exists iff some closure of
-    {0, j} is not the whole vertex set. This stays independent of the
+    Exact, with two refinements and one closure. The maximal modules that
+    avoid a vertex v partition the other vertices, each class is a module,
+    and every module avoiding v lies inside one class (Ehrenfeucht, Gabow,
+    McConnell and Sullivan, J. Algorithms 1994). A nontrivial module M
+    falls into one of three cases, each caught by one step:
+    - M avoids 0: it lies inside a class of the refinement avoiding 0,
+      which then has two members;
+    - M holds 0 but avoids 1: it lies inside a class of the refinement
+      avoiding 1, which then has two members;
+    - M holds 0 and 1: it holds the module closure of {0, 1}, which then
+      is not the whole vertex set.
+    Conversely a class with two members, or a closure short of the whole
+    set, is itself a nontrivial module. This stays independent of the
     forcing graph that `decompose` uses for the same question.
     """
-    k = len(qadj)
-    full = (1 << k) - 1
-    if any(cls & (cls - 1) for cls in _maximal_modules_avoiding(qadj, full, 0)):
-        return False
-    return all(_module_closure(qadj, full, 1 | 1 << j) == full for j in range(1, k))
+    full = (1 << len(qadj)) - 1
+    for pivot in (0, 1):
+        if any(cls & (cls - 1) for cls in _maximal_modules_avoiding(qadj, full, pivot)):
+            return False
+    return _module_closure(qadj, full, 0b11) == full
 
 
 def verify_tree(g: Graph, t: MDTree) -> list[str]:
@@ -550,6 +572,9 @@ def verify_tree(g: Graph, t: MDTree) -> list[str]:
 
     if t.root.span != g.full_mask:
         report("root", f"span {t.root.span_vertices()} != V(G)")
+        # ids outside V(G) have no rows to check the tree against
+        if t.root.span & ~g.full_mask:
+            return problems
 
     # each node is checked as a module of its parent's span only: a module
     # of a module of G is a module of G, and the root's parent is V(G)
@@ -571,24 +596,19 @@ def verify_tree(g: Graph, t: MDTree) -> list[str]:
             report(path, "children spans do not partition the span")
         if not _is_module_mask(g.adj, parent_span, node.span):
             report(path, "span is not a module of the graph")
-        spans = [c.span for c in node.children]
         # the adjacency is symmetric, so the cross edges between a child and
         # the rest of the span are checked from the smaller side: a chain of
         # peels then costs O(1) rows per node instead of O(n)
-        if node.kind is NodeKind.PARALLEL:
-            for i, a in enumerate(spans):
-                side, other = sorted((a, node.span & ~a), key=int.bit_count)
-                if any(g.adj[v] & other for v in iter_bits(side)):
-                    report(path, f"parallel node: child {i} has a cross edge")
-            if any(c.kind is NodeKind.PARALLEL for c in node.children):
-                report(path, "parallel node with a parallel child")
-        elif node.kind is NodeKind.SERIES:
-            for i, a in enumerate(spans):
-                side, other = sorted((a, node.span & ~a), key=int.bit_count)
-                if any(g.adj[v] & other != other for v in iter_bits(side)):
-                    report(path, f"series node: child {i} misses a cross edge")
-            if any(c.kind is NodeKind.SERIES for c in node.children):
-                report(path, "series node with a series child")
+        if node.kind is not NodeKind.PRIME:
+            series = node.kind is NodeKind.SERIES
+            for i, child in enumerate(node.children):
+                side, other = sorted((child.span, node.span & ~child.span), key=int.bit_count)
+                want = other if series else 0
+                if any(g.adj[v] & other != want for v in iter_bits(side)):
+                    report(path, f"{node.kind.value.lower()} node: child {i} "
+                           + ("misses a cross edge" if series else "has a cross edge"))
+            if any(c.kind is node.kind for c in node.children):
+                report(path, "{0} node with a {0} child".format(node.kind.value.lower()))
         else:
             k = len(node.children)
             if k < 4:

@@ -151,7 +151,7 @@ class CliqueSearch:
         # _radj[i] means order[i] ~ order[b], so the lowest set bit of a
         # candidate mask is the earliest order position in it; a graph
         # already in search order, as the fold's quotients are, is copied
-        self._radj = _compress(g.adj, self.order, self.order)
+        self._radj = _compress(g.adj, self.order)
         self._rw = [g.weights[v] for v in self.order]
         self.suffix_best = [0] * len(self.order)
         self.nodes = 0

@@ -194,14 +194,15 @@ def twin_blowup(rng: random.Random, max_n: int) -> Graph:
 
 def reference_prime_children(adj: list[int], span: int) -> list[int]:
     """The prime split on a gathered quotient: the classes' representatives
-    and the pivot are compressed into a k-vertex copy, whose rows index the
-    forcing digraph by class number."""
+    and the pivot are compressed into a (k + 1)-vertex copy, whose rows,
+    with the pivot's column masked off, index the forcing digraph by class
+    number."""
     pivot_bit = span & -span
     pivot = pivot_bit.bit_length() - 1
     classes = _maximal_modules_avoiding(adj, span, pivot)
     full = (1 << len(classes)) - 1
     reps = [(cls & -cls).bit_length() - 1 for cls in classes]
-    rows = _compress(adj, reps + [pivot], reps)
+    rows = [row & full for row in _compress(adj, reps + [pivot])]
     pv = rows.pop()
     forces = [row ^ pv for row in rows]
     forced_by = [row ^ full if pv >> j & 1 else row for j, row in enumerate(rows)]
@@ -230,7 +231,7 @@ def shuffled_rows(adj: list[int], seed: int) -> list[int]:
     """The rows of adj with the vertex ids permuted at random."""
     ids = list(range(len(adj)))
     random.Random(seed).shuffle(ids)
-    return _compress(adj, ids, ids)
+    return _compress(adj, ids)
 
 
 def chain_over(adj: list[int], levels: int, seed: int, join_first: bool = True) -> Graph:
@@ -548,7 +549,7 @@ class TestSearchKernels:
         g = alternating_threshold(n)
         ids = list(range(n))
         random.Random(81).shuffle(ids)
-        shuffled = Graph._from_masks(n, _compress(g.adj, ids, ids))
+        shuffled = Graph._from_masks(n, _compress(g.adj, ids))
         started = time.perf_counter()
         t = decompose(shuffled)
         elapsed = time.perf_counter() - started
@@ -569,7 +570,7 @@ class TestSearchKernels:
             ids = list(range(n))
             random.Random(seed).shuffle(ids)
             base = len(adj)
-            adj += [row << base for row in _compress(g.adj, ids, ids)]
+            adj += [row << base for row in _compress(g.adj, ids)]
         union = Graph._from_masks(2 * n, adj)
         started = time.perf_counter()
         t = decompose(union)
@@ -748,8 +749,9 @@ class TestVerifyTree:
         # a path plus a false twin of one of its vertices: the flat Prime
         # node's quotient is the graph itself, whose twin pair is a
         # nontrivial module. A twin of vertex 2 avoids vertex 0 and is found
-        # by the refinement; a twin of vertex 0 holds vertex 0 and is found
-        # by a closure. k = 6 and k = 18 sit on either side of 15 children.
+        # by the refinement avoiding 0; a twin of vertex 0 holds vertex 0
+        # but avoids vertex 1 and is found by the refinement avoiding 1.
+        # k = 6 and k = 18 sit on either side of 15 children.
         n = path_len + 1
         for twin_of in (2, 0):
             edges = [(v, v + 1) for v in range(path_len - 1)]
@@ -787,6 +789,32 @@ class TestVerifyTree:
         # a prime node of 642 children: one closure per pair would take minutes
         g = coprime_graph(1200)
         assert verify_tree(g, decompose(g)) == []
+
+    def test_tree_of_a_larger_graph_reported(self):
+        # the tree's spans hold ids that have no row in the graph
+        g = coprime_graph(8)
+        assert verify_tree(g, decompose(coprime_graph(12))) == [
+            f"root: span {tuple(range(12))} != V(G)"]
+
+    @staticmethod
+    def timed_verify(adj: list[int]) -> float:
+        g = Graph._from_masks(len(adj), adj)
+        t = decompose(g)
+        started = time.perf_counter()
+        assert verify_tree(g, t) == []
+        return time.perf_counter() - started
+
+    def test_shuffled_path_under_half_a_second(self):
+        # one prime node over 4000 leaves: its quotient is the graph itself
+        n = 4000
+        path = [(1 << v - 1 if v else 0) | (1 << v + 1 if v + 1 < n else 0) for v in range(n)]
+        assert self.timed_verify(shuffled_rows(path, 3)) < 0.5
+
+    def test_shuffled_matching_under_a_second(self):
+        # a Parallel root over 4000 children of two vertices: each child's
+        # module check looks at its own two rows, not at the 7998 others
+        matching = [1 << (v ^ 1) for v in range(8000)]
+        assert self.timed_verify(shuffled_rows(matching, 4)) < 1.0
 
 
 class TestQuotient:

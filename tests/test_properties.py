@@ -29,6 +29,7 @@ from mdclique import (
 )
 from mdclique import graph as graph_module, mdtree as mdtree_module
 from mdclique.graph import iter_bits, vertex_mask
+from mdclique.mdtree import _maximal_modules_avoiding, _module_closure
 from conftest import edges_by_bits, write_dimacs_per_edge
 
 
@@ -136,6 +137,35 @@ def test_colour_bound_matches_brute_force(g):
 @example(_PAST_LIMIT)
 def test_decompose_passes_verify_tree(g):
     assert verify_tree(g, decompose(g)) == []
+
+
+# a path 0-1-2-3-4 with a false twin 5 of vertex 2 or of vertex 0, and a
+# path 2-3-0-4-5 with a false twin 1 of vertex 0: the twin pair avoids
+# vertex 0, holds 0 but avoids 1, or holds both, so each is found by a
+# different one of the three steps of `_quotient_is_primitive`
+_PATH_5 = [(0, 1), (1, 2), (2, 3), (3, 4)]
+_TWINS_AVOID_0 = Graph(6, _PATH_5 + [(1, 5), (3, 5)])
+_TWINS_HOLD_0_AVOID_1 = Graph(6, _PATH_5 + [(1, 5)])
+_TWINS_HOLD_0_AND_1 = Graph(6, [(2, 3), (3, 0), (0, 4), (4, 5), (3, 1), (1, 4)])
+
+
+def primitive_by_closures(qadj: list[int]) -> bool:
+    """Primality from the refinement avoiding vertex 0 and the module
+    closure of {0, j} for every j != 0: a module holding 0 holds one of
+    those closures. k - 1 closures, where `_quotient_is_primitive` takes a
+    second refinement and one closure."""
+    full = (1 << len(qadj)) - 1
+    if any(cls & (cls - 1) for cls in _maximal_modules_avoiding(qadj, full, 0)):
+        return False
+    return all(_module_closure(qadj, full, 1 | 1 << j) == full for j in range(1, len(qadj)))
+
+
+@given(graphs(min_n=2, max_n=11))
+@example(_TWINS_AVOID_0)
+@example(_TWINS_HOLD_0_AVOID_1)
+@example(_TWINS_HOLD_0_AND_1)
+def test_primitive_matches_a_closure_per_vertex(g):
+    assert mdtree_module._quotient_is_primitive(g.adj) == primitive_by_closures(g.adj)
 
 
 def test_deep_spans_take_both_ranking_rules():
