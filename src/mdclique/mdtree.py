@@ -53,7 +53,7 @@ from enum import Enum
 from itertools import islice
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .graph import Graph, _check_vertices, _compress, iter_bits, vertex_mask
+from .graph import Graph, _check_vertices, _compress, iter_bits
 
 
 class NodeKind(Enum):
@@ -231,7 +231,7 @@ def _components(adj: list[int], span: int, flip: int, seed: int = 0) -> list[int
         comps.append(comp)
         rest &= ~comp
         seed = 0
-    comps.sort(key=lambda c: c & -c)
+    comps.sort(key=lambda c: (c & -c).bit_length())
     return comps
 
 
@@ -465,7 +465,7 @@ def _decompose_span(g: Graph) -> MDNode:
                 depth += 1
                 break
             stack.pop()
-            built.sort(key=lambda c: c.span & -c.span)
+            built.sort(key=lambda c: (c.span & -c.span).bit_length())
             node = MDNode(kind, children=tuple(built))
         else:
             return node
@@ -567,8 +567,14 @@ def verify_tree(g: Graph, t: MDTree) -> list[str]:
     """
     problems: list[str] = []
 
-    def report(path: str, msg: str) -> None:
-        problems.append(f"{path}: {msg}")
+    def report(path: str | tuple, msg: str) -> None:
+        # below the root a path is (parent path, child index), joined only
+        # here, so a deep tree pays for the paths it reports and no others
+        steps = []
+        while not isinstance(path, str):
+            path, i = path
+            steps.append(f".{i}")
+        problems.append(path + "".join(reversed(steps)) + f": {msg}")
 
     if t.root.span != g.full_mask:
         report("root", f"span {t.root.span_vertices()} != V(G)")
@@ -579,9 +585,11 @@ def verify_tree(g: Graph, t: MDTree) -> list[str]:
     # each node is checked as a module of its parent's span only: a module
     # of a module of G is a module of G, and the root's parent is V(G)
     stack = [(t.root, "root", g.full_mask)]
+    leaves = 0
     while stack:
         node, path, parent_span = stack.pop()
         if node.is_leaf:
+            leaves |= 1 << node.vertex
             if node.span != 1 << node.vertex:
                 report(path, "leaf span != {vertex}")
             continue
@@ -621,11 +629,8 @@ def verify_tree(g: Graph, t: MDTree) -> list[str]:
             if not _quotient_is_primitive(q.adj):
                 report(path, "prime node quotient has a nontrivial module")
         for i in reversed(range(len(node.children))):
-            stack.append((node.children[i], f"{path}.{i}", node.span))
+            stack.append((node.children[i], (path, i), node.span))
 
-    leaves = vertex_mask(
-        node.vertex for node in t.iter_nodes() if node.is_leaf
-    )
     if leaves != g.full_mask:
         report("root", "tree leaves are not exactly V(G)")
     return problems

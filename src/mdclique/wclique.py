@@ -9,21 +9,24 @@ weight, and the suffix bound of the earliest candidate. Within one suffix
 pass the optimum can improve by at most the weight of order[i], so the pass
 aborts as soon as that cap is reached. A child node is counted and bounded
 by its parent before it is entered, so the many children that the
-remaining weight prunes cost no call; weighted candidate sets are summed a
-byte at a time from per-byte tables.
+remaining weight prunes are never pushed; weighted candidate sets are
+summed a byte at a time from per-byte tables.
 
 The colour bound (MCQ/BBMC, weighted as in Kumlander 2004) greedily
 colours each node's candidates into independent sets; a clique takes at
 most one vertex per colour class, so the heaviest vertex of each class
 bounds what the class can add. The search branches on the vertices of the
-highest colours first, on an explicit stack.
+highest colours first.
+
+Both searches keep the current node in locals and its ancestors on an
+explicit stack, so a deep clique costs no recursion, and neither touches
+process-wide state such as the recursion limit: threads may solve at once.
 
 `brute_force_clique` is the independent oracle: plain exhaustive clique
 enumeration, no bounds shared with the searches above.
 """
 from __future__ import annotations
 
-import sys
 import time
 from dataclasses import dataclass
 from enum import Enum
@@ -173,7 +176,9 @@ class CliqueSearch:
         nodes, sums the child's candidate weight and enters the child only
         if that total can beat the incumbent. Inside a node, `need` is what
         the clique must still add; it changes only when a child returns or
-        the incumbent improves.
+        the incumbent improves. The current node lives in locals and its
+        ancestors on `stack`, so search depth costs no recursion and the
+        search touches no process-wide state.
         """
         n = len(self.order)
         perf_counter = time.perf_counter
@@ -184,67 +189,68 @@ class CliqueSearch:
         nodes = 0
         best_weight = 0
         best_mask = 0
-        cap = 0
-        # stop ends the pass (cap reached or deadline), timed_out the run
-        stop = timed_out = False
-
-        def expand(candidates: int, weight: int, clique: int, remaining: int) -> None:
-            nonlocal nodes, best_weight, best_mask, stop, timed_out
-            need = best_weight - weight
-            while remaining > need and candidates:
-                low = candidates & -candidates
-                j = low.bit_length() - 1
-                if suffix_best[j] <= need:
-                    return
-                candidates ^= low
-                remaining -= rw[j]
-                grown = weight + rw[j]
-                next_candidates = candidates & radj[j]
-                if next_candidates:
-                    nodes += 1
-                    if nodes & 4095 == 0 and deadline and perf_counter() > deadline:
-                        stop = timed_out = True
-                        return
-                    total = weigh(next_candidates)
-                    if grown + total > best_weight:
-                        expand(next_candidates, grown, clique | low, total)
-                        if stop:
-                            return
-                        need = best_weight - weight
-                elif grown > best_weight:
-                    best_weight = grown
-                    best_mask = clique | low
-                    if grown == cap:
-                        stop = True
-                        return
-                    need = best_weight - weight
-
-        # expand recurses once per clique vertex
-        old_limit = sys.getrecursionlimit()
-        sys.setrecursionlimit(max(old_limit, n + 256))
-        try:
-            for i in range(n - 1, -1, -1):
-                cap = best_weight + rw[i]
-                stop = False
-                candidates = radj[i] >> (i + 1) << (i + 1)
-                if candidates:
-                    nodes += 1
-                    if nodes & 4095 == 0 and deadline and perf_counter() > deadline:
-                        timed_out = True
-                        break
-                    total = weigh(candidates)
-                    if rw[i] + total > best_weight:
-                        expand(candidates, rw[i], 1 << i, total)
-                elif rw[i] > best_weight:
-                    best_weight = rw[i]
-                    best_mask = 1 << i
-                if timed_out:
+        stack: list[tuple[int, int, int, int]] = []
+        status = SolveStatus.OPTIMAL
+        for i in range(n - 1, -1, -1):
+            cap = best_weight + rw[i]
+            candidates = radj[i] >> (i + 1) << (i + 1)
+            if candidates:
+                nodes += 1
+                if nodes & 4095 == 0 and deadline and perf_counter() > deadline:
+                    status = SolveStatus.TIMED_OUT
                     break
-                suffix_best[i] = best_weight
-        finally:
-            sys.setrecursionlimit(old_limit)
+                # the pass's root; a root that cannot beat the incumbent
+                # ends at once, as an unentered child would
+                weight = rw[i]
+                clique = 1 << i
+                remaining = weigh(candidates)
+                need = best_weight - weight
+                while True:
+                    while remaining > need and candidates:
+                        low = candidates & -candidates
+                        j = low.bit_length() - 1
+                        if suffix_best[j] <= need:
+                            break
+                        candidates ^= low
+                        remaining -= rw[j]
+                        grown = weight + rw[j]
+                        next_candidates = candidates & radj[j]
+                        if next_candidates:
+                            nodes += 1
+                            if nodes & 4095 == 0 and deadline and perf_counter() > deadline:
+                                # an empty stack ends the pass, and the
+                                # status the run
+                                status = SolveStatus.TIMED_OUT
+                                stack.clear()
+                                break
+                            total = weigh(next_candidates)
+                            if grown + total > best_weight:
+                                stack.append((candidates, weight, clique, remaining))
+                                # not one four-name assignment, which would
+                                # build and unpack a tuple per entered child
+                                candidates, weight, remaining = next_candidates, grown, total
+                                clique |= low
+                                need = best_weight - grown
+                        elif grown > best_weight:
+                            best_weight = grown
+                            best_mask = clique | low
+                            # the pass cannot do better: leave it
+                            if grown == cap:
+                                stack.clear()
+                                break
+                            need = best_weight - weight
+                    # the node is done: resume its parent, if it has one
+                    if not stack:
+                        break
+                    candidates, weight, clique, remaining = stack.pop()
+                    need = best_weight - weight
+                if status is SolveStatus.TIMED_OUT:
+                    break
+            elif rw[i] > best_weight:
+                best_weight = rw[i]
+                best_mask = 1 << i
+            suffix_best[i] = best_weight
         self.nodes = nodes
-        status = SolveStatus.TIMED_OUT if timed_out else SolveStatus.OPTIMAL
         return best_weight, best_mask, status
 
     def _colour(self, deadline: float) -> tuple[int, int, SolveStatus]:

@@ -690,6 +690,19 @@ class TestDecomposeMemory:
             tracemalloc.stop()
         assert peak < 24 << 20
 
+    def test_edgeless_graph_peak(self):
+        # 16384 one-vertex components under one Parallel root: sorting them
+        # by a key as wide as the span peaked at 36.8 MiB, and by the index
+        # of the lowest vertex it peaks near 20 MiB
+        tracemalloc.start()
+        try:
+            t = decompose(Graph(16384))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(t.root.children) == 16384
+        assert peak < 28 << 20
+
 
 class TestMDNode:
     # checked by raising, not by assert, so that python -O keeps the checks

@@ -264,13 +264,15 @@ def complete_graph(n: int) -> Graph:
 class TestSuffixRecursionLimit:
     @pytest.mark.parametrize("n, edges", [(1000, False), (1100, True)])
     def test_caller_limit_restored(self, n, edges):
-        # the suffix search recurses once per clique vertex, so it raises
-        # the limit for its run and must put the caller's back
+        # the suffix search keeps its ancestors on an explicit stack, so a
+        # clique deeper than the caller's limit needs no change to it: the
+        # limit is process-wide, and another thread may be recursing under it
         g = complete_graph(n) if edges else Graph(n)
         old_limit = sys.getrecursionlimit()
         sys.setrecursionlimit(1000)
         try:
-            sol = max_weight_clique(g)
+            with mock.patch.object(sys, "setrecursionlimit", side_effect=AssertionError):
+                sol = max_weight_clique(g)
             assert sys.getrecursionlimit() == 1000
         finally:
             sys.setrecursionlimit(old_limit)
