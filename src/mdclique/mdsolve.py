@@ -51,17 +51,20 @@ def solve_node(g: Graph, node: MDNode, config: SolverConfig = DEFAULT_CONFIG) ->
     weight: dict[MDNode, int] = {}
     used: dict[MDNode, tuple[MDNode, ...]] = {}
     timed_out = False
+    weights = g.weights
+    parallel, series = NodeKind.PARALLEL, NodeKind.SERIES
     for current in reversed(nodes):
-        if current.is_leaf:
-            weight[current] = g.weights[current.vertex]
-            continue
         children = current.children
-        parts = [weight.pop(child) for child in children]
-        if current.kind is NodeKind.PARALLEL:
-            heaviest = max(range(len(parts)), key=parts.__getitem__)
+        if not children:
+            weight[current] = weights[current.vertex]
+            continue
+        parts = list(map(weight.pop, children))
+        if current.kind is parallel:
+            # index() of the maximum is the first heaviest child
+            heaviest = parts.index(max(parts))
             weight[current] = parts[heaviest]
             used[current] = (children[heaviest],)
-        elif current.kind is NodeKind.SERIES:
+        elif current.kind is series:
             weight[current] = sum(parts)
             used[current] = children
         else:
@@ -81,10 +84,10 @@ def solve_node(g: Graph, node: MDNode, config: SolverConfig = DEFAULT_CONFIG) ->
     pending = [node]
     while pending:
         current = pending.pop()
-        if current.is_leaf:
-            vertices.append(current.vertex)
-        else:
+        if current.children:
             pending.extend(used[current])
+        else:
+            vertices.append(current.vertex)
     status = SolveStatus.TIMED_OUT if timed_out else SolveStatus.OPTIMAL
     return Solution(tuple(sorted(vertices)), weight[node], status)
 

@@ -33,7 +33,11 @@ Every search is direction-optimising (Beamer et al., SC 2012): each round
 ORs the rows of the frontier or sweeps the still-unreached vertices,
 whichever set is smaller, so peeling one vertex off a large span costs
 about the small side. Each later component is searched only inside the
-still-unassigned rest.
+still-unassigned rest, and a lone vertex left there, or a seed with no
+neighbour in it, is a component with no search at all. A child of a
+Parallel node is connected, so its split starts at the co-component search.
+Children come out of every split in canonical order, so a finished node
+takes them as they were built, reversed, with no sort.
 
 It is not linear-time, but it is bitmask-fast in practice. The tree is
 validated by a brute-force module enumerator in tests and by
@@ -213,7 +217,9 @@ def _components(adj: list[int], span: int, flip: int, seed: int = 0) -> list[int
     """Connected components of the subgraph induced by span, as masks
     ordered by lowest vertex; with flip = span, those of its complement
     (each row is XORed with flip). No edge leaves a finished component, so
-    each later search runs inside the still-unassigned rest only.
+    each later search runs inside the still-unassigned rest only. A lone
+    vertex left in the rest, or a seed whose row has no bit in the rest, is
+    a component without a search.
 
     The first search starts at the vertex mask `seed` if one is given.
     Every other component search starts at the rest's highest vertex, and
@@ -224,13 +230,19 @@ def _components(adj: list[int], span: int, flip: int, seed: int = 0) -> list[int
     side in one round."""
     comps = []
     rest = span
-    while rest:
+    while rest & (rest - 1):
         if not seed:
             seed = rest & -rest if flip else 1 << (rest.bit_length() - 1)
-        comp = _reach(adj, seed, rest, flip)
+        # the seed's row, flipped, holds the seed itself iff flip does
+        if (adj[seed.bit_length() - 1] ^ flip) & rest | seed == seed:
+            comp = seed
+        else:
+            comp = _reach(adj, seed, rest, flip)
         comps.append(comp)
         rest &= ~comp
         seed = 0
+    if rest:
+        comps.append(rest)
     comps.sort(key=lambda c: (c & -c).bit_length())
     return comps
 
@@ -339,7 +351,8 @@ def _reaching_all(out: Mapping[int, int], into: Mapping[int, int], nodes: int) -
 
 
 def _prime_children(adj: list[int], span: int) -> list[int]:
-    """Child spans of a prime node (span connected and co-connected).
+    """Child spans of a prime node (span connected and co-connected),
+    ordered by lowest vertex, as `_components` orders its components.
 
     The children are the maximal proper modules. Partition refinement
     gives the maximal modules avoiding the pivot v, the classes M(G, v);
@@ -378,16 +391,23 @@ def _prime_children(adj: list[int], span: int) -> list[int]:
         else:
             pivot_child |= cls
     children.append(pivot_child)
+    children.sort(key=lambda c: (c & -c).bit_length())
     return children
 
 
-def _split(adj: list[int], span: int, high: int = 0, low: int = 0) -> tuple[NodeKind, list[int]]:
+def _split(adj: list[int], span: int, high: int = 0, low: int = 0, *,
+           connected: bool = False) -> tuple[NodeKind, list[int]]:
     """Kind and child spans of the node over a span of >= 2 vertices; the
     first component search starts at the vertex mask `high` and the first
-    co-component search at `low`, where given."""
-    comps = _components(adj, span, 0, high)
-    if len(comps) > 1:
-        return NodeKind.PARALLEL, comps
+    co-component search at `low`, where given.
+
+    A span known to be `connected`, such as a child of a Parallel node (a
+    connected component of its parent), goes straight to the co-component
+    search: its component search could only find the span itself."""
+    if not connected:
+        comps = _components(adj, span, 0, high)
+        if len(comps) > 1:
+            return NodeKind.PARALLEL, comps
     cocomps = _components(adj, span, span, low)
     if len(cocomps) > 1:
         return NodeKind.SERIES, cocomps
@@ -435,7 +455,11 @@ def _decompose_span(g: Graph) -> MDNode:
     nothing.
 
     Each stack frame is an internal node under construction: (kind, built
-    children, pending child spans, depth, steering list or None)."""
+    children, pending child spans, depth, steering list or None). Every
+    split returns its child spans in canonical order and they are popped
+    from the end, so a closed frame reverses its built children instead
+    of sorting them. A span whose parent frame is Parallel is connected,
+    and `_split` is told so."""
     limit = g.n.bit_length()
     adj = g.adj
     span = g.full_mask
@@ -444,12 +468,14 @@ def _decompose_span(g: Graph) -> MDNode:
     stack: list[tuple[NodeKind, list[MDNode], list[int], int, _Steer | None]] = []
     while True:
         if span & (span - 1):
+            connected = bool(stack) and stack[-1][0] is NodeKind.PARALLEL
             if depth < limit:
-                kind, pending = _split(adj, span)
+                kind, pending = _split(adj, span, connected=connected)
             else:
                 steer = _steer(adj, span, steer)
                 ranked, lo, hi, _ = steer
-                kind, pending = _split(adj, span, 1 << ranked[hi - 1], 1 << ranked[lo])
+                kind, pending = _split(adj, span, 1 << ranked[hi - 1], 1 << ranked[lo],
+                                       connected=connected)
             stack.append((kind, [], pending, depth, steer))
             span = pending.pop()
             depth += 1
@@ -465,7 +491,7 @@ def _decompose_span(g: Graph) -> MDNode:
                 depth += 1
                 break
             stack.pop()
-            built.sort(key=lambda c: (c.span & -c.span).bit_length())
+            built.reverse()
             node = MDNode(kind, children=tuple(built))
         else:
             return node

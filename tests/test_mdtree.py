@@ -4,6 +4,7 @@ import random
 import time
 import tracemalloc
 from collections import deque
+from unittest import mock
 
 import pytest
 
@@ -19,9 +20,11 @@ from mdclique import (
     induced_subgraph,
     is_module,
     quotient,
+    random_cograph,
     solve,
     verify_tree,
 )
+from mdclique import mdtree
 from mdclique.graph import _compress, iter_bits, vertex_mask
 from mdclique.mdtree import (
     _components,
@@ -491,7 +494,9 @@ class TestSearchKernels:
 
     def test_prime_children_match_gathered_reference(self):
         def check(adj: list[int], span: int) -> None:
-            assert sorted(_prime_children(adj, span)) == sorted(reference_prime_children(adj, span))
+            # decompose relies on the children arriving in canonical order
+            expected = sorted(reference_prime_children(adj, span), key=lambda c: c & -c)
+            assert _prime_children(adj, span) == expected
 
         rng = random.Random(67)
         checked = 0
@@ -649,6 +654,32 @@ class TestSearchKernels:
         # 1 and the 139 primes up to 800 are pairwise coprime, and no 141
         # numbers are; the chain adds its 100 joining vertices
         assert solve(g)[0].weight == 1 + 139 + 100
+
+
+class TestSplitWork:
+    def test_edgeless_graph_makes_no_reach_call(self):
+        # every vertex is a component on its own, found without a search
+        with mock.patch.object(mdtree, "_reach", wraps=mdtree._reach) as reach:
+            t = decompose(Graph(4096))
+        assert len(t.root.children) == 4096
+        assert reach.call_count == 0
+
+    @pytest.mark.parametrize("make", [
+        lambda: random_cograph(500, 11),
+        lambda: Graph._from_masks(600, shuffled_rows(alternating_threshold(600).adj, 12)),
+    ], ids=["cograph", "shuffled-threshold"])
+    def test_parallel_children_skip_the_component_search(self, make):
+        # a child of a Parallel node is one of its connected components
+        g = make()
+        with mock.patch.object(mdtree, "_components", wraps=mdtree._components) as components:
+            t = decompose(g)
+        parallel_children = {child.span for node in t.iter_nodes()
+                             if node.kind is NodeKind.PARALLEL for child in node.children
+                             if child.children}
+        assert parallel_children
+        searched = {call.args[1] for call in components.call_args_list if call.args[2] == 0}
+        assert searched
+        assert not searched & parallel_children
 
 
 class TestDecomposeMemory:
