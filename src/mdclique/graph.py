@@ -409,6 +409,78 @@ def _read_edges(
     return True
 
 
+# the name that each numeric line kind goes by in error texts, its field
+# count, and whether it is the problem line
+_LINE_KINDS = {"p": ("problem", 4, True), "e": ("edge", 3, False), "n": ("weight", 3, False)}
+
+
+def _read_lines(
+    text: str, line_no: int, n: int, adj: list[int], weights: list[int]
+) -> tuple[int, int]:
+    """Read the lines of text, the first one numbered line_no, by the
+    DIMACS line grammar, and return n and the declared edge count as they
+    stand after them; the count is 0 unless text holds the problem line.
+    An n below 0 means that no problem line has been read yet.
+
+    Blank and `c` lines are skipped. Any other line must be ASCII, of a
+    kind in _LINE_KINDS, after the problem line if it is not the problem
+    line itself, and of its kind's field count with integer fields, none
+    of them with an underscore, since int() reads `1_0` as 10. Only then
+    come the checks of each kind. The problem line appends n empty rows to
+    adj and n zeros to weights, 0 marking a vertex with no weight line
+    yet; an edge line ORs its two bits into adj, and a weight line sets
+    one weight. The first line that breaks a rule raises its DimacsError.
+    """
+    declared_m = 0
+    for line_no, raw in enumerate(text.split("\n"), line_no):
+        line = raw.rstrip("\r")
+        fields = line.split()
+        if not fields or fields[0] == "c":
+            continue
+        if not line.isascii():
+            raise DimacsError(line_no, f"non-ASCII character in line: {line!r}")
+        kind = fields[0]
+        try:
+            name, count, problem = _LINE_KINDS[kind]
+        except KeyError:
+            raise DimacsError(line_no, f"unrecognized line: {line!r}") from None
+        if problem == (n >= 0):
+            message = "duplicate problem line" if problem else f"{name} line before problem line"
+            raise DimacsError(line_no, message)
+        try:
+            if len(fields) != count or "_" in line or problem and fields[1] != "edge":
+                raise ValueError
+            a, b = int(fields[count - 2]), int(fields[count - 1])
+        except ValueError:
+            raise DimacsError(line_no, f"malformed {name} line: {line!r}") from None
+        if kind == "e":
+            if not (1 <= a <= n and 1 <= b <= n):
+                raise DimacsError(line_no, f"edge endpoint out of range 1..{n}")
+            if a == b:
+                raise DimacsError(line_no, f"self-loop at vertex {a}")
+            a -= 1
+            b -= 1
+            adj[a] |= 1 << b
+            adj[b] |= 1 << a
+        elif kind == "n":
+            if not 1 <= a <= n:
+                raise DimacsError(line_no, f"weight vertex out of range 1..{n}")
+            if b <= 0:
+                raise DimacsError(line_no, f"weight of vertex {a} must be positive")
+            if weights[a - 1]:
+                raise DimacsError(line_no, f"duplicate weight line for vertex {a}")
+            weights[a - 1] = b
+        elif a < 0 or b < 0:
+            raise DimacsError(line_no, "problem line counts must be >= 0")
+        elif a > MAX_VERTICES:
+            raise DimacsError(line_no, f"vertex count {a} exceeds the limit of {MAX_VERTICES}")
+        else:
+            n, declared_m = a, b
+            adj.extend([0] * n)
+            weights.extend([0] * n)
+    return n, declared_m
+
+
 def parse_dimacs(data: str | bytes) -> Graph:
     """Parse the DIMACS ASCII clique format.
 
@@ -420,138 +492,72 @@ def parse_dimacs(data: str | bytes) -> Graph:
     is advisory: a mismatch warns (DimacsWarning) instead of failing. At
     most MAX_VERTICES vertices are accepted.
 
+    The parse takes three steps:
+
+    1. `_read_lines` reads the header, every line before the first line
+       that starts with `e`, so n is known before any edge is read.
+    2. The edge block, from that line to the end, is cut at line ends into
+       chunks of at least _CHUNK_CHARS characters. Edge lines written
+       `e <u> <v>` with single spaces are read a chunk at a time by
+       `_read_edges`. A chunk it rejects is offered once more as
+       `_canonical(chunk)`, with its blanks normalised, which `str.split()`
+       would not tell apart; once one chunk has been taken that way, later
+       chunks are normalised before they are offered. A chunk rejected both
+       ways goes to `_read_lines`, which alone reports errors, always from
+       the original text.
+    3. A dense block's byte matrix is merged into the rows, and the Graph
+       is built.
+
     A dense edge block, one with n * n at most twice the number of
     characters from the first edge line to the end, is read into one
     transient n * n matrix of ASCII digits, byte u * n + v set for a line
     `e <u+1> <v+1>`. Row u of the adjacency is then the row u and the
     column u of that matrix, each read by int(..., 2), ORed with the bits
-    that the line loop set. A sparse block ORs two bits per edge instead.
-
-    Edge lines written `e <u> <v>` with single spaces are read a chunk at
-    a time by `_read_edges`. A chunk it rejects is offered once more as
-    `_canonical(chunk)`, with its blanks normalised, which `str.split()`
-    would not tell apart; once one chunk has been taken that way, later
-    chunks are normalised before they are offered. A chunk rejected both
-    ways goes to the line loop, which alone reports errors, always from
-    the original text.
+    that `_read_lines` set. A sparse block ORs two bits per edge instead.
     """
     if isinstance(data, bytes):
         # latin-1 maps every byte to one character, so decoding cannot fail
         data = data.decode("latin-1")
-    n = -1
+    # 1. the header; a file that starts with an edge line has it there,
+    # where the grammar finds it before the problem line
+    pos = data.find("\ne") + 1 or len(data) + 1
     adj: list[int] = []
     weights: list[int] = []
-    weighted = 0
-    declared_m = 0
+    n, declared_m = _read_lines(data[: pos - 1], 1, -1, adj, weights)
+    # 2. the edge block. A miss in ids rejects an id out of range and a
+    # form like `01` or `+1`; ends holds the same ids glued to the start of
+    # the next edge line, and shares their int values
+    ids = {str(v + 1): v for v in range(n)}
+    ends = {key + "\ne": v for key, v in ids.items()}
     mat = bytearray()
-
-    def unread_lines() -> Iterator[tuple[int, str]]:
-        """The numbered lines that `_read_edges` leaves to the loop below,
-        which alone reports errors. From the first line that starts with
-        `e`, the text is cut at line ends into chunks and each chunk is
-        offered to `_read_edges` whole, as it stands or normalised; n and
-        adj are read, and mat made for a dense block, only after the loop
-        has read every line before that first one."""
-        nonlocal mat
-        if data.startswith("e"):
-            pos = 0
-        else:
-            pos = data.find("\ne") + 1 or len(data) + 1
-        if pos:
-            yield from enumerate(data[: pos - 1].split("\n"), start=1)
-        # a miss rejects an id out of range and a form like `01` or `+1`;
-        # ends holds the same ids glued to the start of the next edge line,
-        # and shares their int values
-        ids = {str(v + 1): v for v in range(n)}
-        ends = {key + "\ne": v for key, v in ids.items()}
-        rows = None
-        if 0 < n and n * n <= 2 * (len(data) - pos):
-            mat = bytearray(b"0") * (n * n)
-            view = memoryview(mat)
-            rows = [view[u * n : (u + 1) * n] for u in range(n)]
-        line_no = data.count("\n", 0, pos) + 1
-        canonical = False
-        while pos < len(data):
-            end = data.find("\n", min(pos + _CHUNK_CHARS, len(data)) - 1)
-            if end < 0:
-                end = len(data)
-            chunk = data[pos:end]
-            if canonical:
-                taken = _read_edges(_canonical(chunk), ids, ends, adj, mat, rows)
-            elif not (taken := _read_edges(chunk, ids, ends, adj, mat, rows)):
-                text = _canonical(chunk)
-                taken = canonical = text != chunk and _read_edges(text, ids, ends, adj, mat, rows)
-            if not taken:
-                yield from enumerate(chunk.split("\n"), start=line_no)
-            line_no += chunk.count("\n") + 1
-            pos = end + 1
-
-    for line_no, raw in unread_lines():
-        line = raw.rstrip("\r")
-        fields = line.split()
-        if not fields or fields[0] == "c":
-            continue
-        if not line.isascii():
-            raise DimacsError(line_no, f"non-ASCII character in line: {line!r}")
-        kind = fields[0]
-        # int() reads `1_0` as 10, so each numeric line rejects underscores
-        if kind == "p":
-            if n >= 0:
-                raise DimacsError(line_no, "duplicate problem line")
-            if len(fields) != 4 or fields[1] != "edge" or "_" in line:
-                raise DimacsError(line_no, f"malformed problem line: {line!r}")
-            try:
-                n, declared_m = int(fields[2]), int(fields[3])
-            except ValueError:
-                raise DimacsError(line_no, f"malformed problem line: {line!r}") from None
-            if n < 0 or declared_m < 0:
-                raise DimacsError(line_no, "problem line counts must be >= 0")
-            if n > MAX_VERTICES:
-                raise DimacsError(line_no, f"vertex count {n} exceeds the limit of {MAX_VERTICES}")
-            adj = [0] * n
-            weights = [1] * n
-        elif kind == "e":
-            if n < 0:
-                raise DimacsError(line_no, "edge line before problem line")
-            if len(fields) != 3 or "_" in line:
-                raise DimacsError(line_no, f"malformed edge line: {line!r}")
-            try:
-                u, v = int(fields[1]), int(fields[2])
-            except ValueError:
-                raise DimacsError(line_no, f"malformed edge line: {line!r}") from None
-            if not (1 <= u <= n and 1 <= v <= n):
-                raise DimacsError(line_no, f"edge endpoint out of range 1..{n}")
-            if u == v:
-                raise DimacsError(line_no, f"self-loop at vertex {u}")
-            u -= 1
-            v -= 1
-            adj[u] |= 1 << v
-            adj[v] |= 1 << u
-        elif kind == "n":
-            if n < 0:
-                raise DimacsError(line_no, "weight line before problem line")
-            if len(fields) != 3 or "_" in line:
-                raise DimacsError(line_no, f"malformed weight line: {line!r}")
-            try:
-                v, w = int(fields[1]), int(fields[2])
-            except ValueError:
-                raise DimacsError(line_no, f"malformed weight line: {line!r}") from None
-            if not 1 <= v <= n:
-                raise DimacsError(line_no, f"weight vertex out of range 1..{n}")
-            if w <= 0:
-                raise DimacsError(line_no, f"weight of vertex {v} must be positive")
-            if weighted >> (v - 1) & 1:
-                raise DimacsError(line_no, f"duplicate weight line for vertex {v}")
-            weighted |= 1 << (v - 1)
-            weights[v - 1] = w
-        else:
-            raise DimacsError(line_no, f"unrecognized line: {line!r}")
+    rows = None
+    if 0 < n and n * n <= 2 * (len(data) - pos):
+        mat = bytearray(b"0") * (n * n)
+        view = memoryview(mat)
+        rows = [view[u * n : (u + 1) * n] for u in range(n)]
+    line_no = data.count("\n", 0, pos) + 1
+    canonical = False
+    while pos < len(data):
+        end = data.find("\n", min(pos + _CHUNK_CHARS, len(data)) - 1)
+        if end < 0:
+            end = len(data)
+        chunk = data[pos:end]
+        if canonical:
+            taken = _read_edges(_canonical(chunk), ids, ends, adj, mat, rows)
+        elif not (taken := _read_edges(chunk, ids, ends, adj, mat, rows)):
+            text = _canonical(chunk)
+            taken = canonical = text != chunk and _read_edges(text, ids, ends, adj, mat, rows)
+        if not taken:
+            _read_lines(chunk, line_no, n, adj, weights)
+        line_no += chunk.count("\n") + 1
+        pos = end + 1
+    # 3. the graph
     if n < 0:
-        raise DimacsError(max(1, data.count("\n") + 1), "missing problem line")
+        raise DimacsError(data.count("\n") + 1, "missing problem line")
     if mat:
         for u in range(n):
             adj[u] |= int(mat[u * n : (u + 1) * n][::-1], 2) | int(mat[u::n][::-1], 2)
-    g = Graph._from_masks(n, adj, weights)
+    g = Graph._from_masks(n, adj, [w or 1 for w in weights])
     if g.m != declared_m:
         warnings.warn(
             f"problem line declares {declared_m} edges, file has {g.m}",

@@ -628,6 +628,10 @@ def verify_tree(g: Graph, t: MDTree) -> list[str]:
             union |= child.span
         if union != node.span:
             report(path, "children spans do not partition the span")
+        # decompose orders children by lowest vertex, each span's lowest bit
+        lows = [child.span & -child.span for child in node.children]
+        if lows != sorted(lows):
+            report(path, "children not in canonical order")
         if not _is_module_mask(g.adj, parent_span, node.span):
             report(path, "span is not a module of the graph")
         # the adjacency is symmetric, so the cross edges between a child and

@@ -225,6 +225,52 @@ class TestParseDimacs:
         with pytest.warns(DimacsWarning, match="^problem line declares 2 edges, file has 1$"):
             parse_dimacs("p edge 2 2\ne 1 2\ne 2 1\n")
 
+    @pytest.mark.parametrize("text, k, message", [
+        (b"p edge 2 1\ne 1 2\xe9\n", 2, "non-ASCII character in line: 'e 1 2\xe9'"),
+        ("c x\np edge 2 0\np edge 2 0\n", 3, "duplicate problem line"),
+        # a duplicate is reported before its own form is read
+        ("p edge 2 0\np edge x\n", 2, "duplicate problem line"),
+        # a problem line inside the edge block reaches the line grammar
+        ("p edge 2 1\ne 1 2\np edge 2 1\n", 3, "duplicate problem line"),
+        ("p col 3 3\n", 1, "malformed problem line: 'p col 3 3'"),
+        ("p edge 3\n", 1, "malformed problem line: 'p edge 3'"),
+        ("p edge three 3\n", 1, "malformed problem line: 'p edge three 3'"),
+        ("p edge -1 0\n", 1, "problem line counts must be >= 0"),
+        ("p edge 3 -2\n", 1, "problem line counts must be >= 0"),
+        (f"p edge {MAX_VERTICES + 1} 0\n", 1, f"vertex count {MAX_VERTICES + 1} exceeds the limit of {MAX_VERTICES}"),
+        # a file that starts with an edge line, with a later edge line and
+        # without one, and an edge line after a comment
+        ("e 1 2\np edge 2 1\ne 1 2\n", 1, "edge line before problem line"),
+        ("e 1 2\np edge 2 1\n", 1, "edge line before problem line"),
+        ("e 1 2", 1, "edge line before problem line"),
+        ("e x\np edge 2 1\n", 1, "edge line before problem line"),
+        ("c x\ne 1 2\np edge 2 1\n", 2, "edge line before problem line"),
+        ("ex 1 2\np edge 2 1\ne 1 2\n", 1, "unrecognized line: 'ex 1 2'"),
+        ("p edge 2 1\ne 1\n", 2, "malformed edge line: 'e 1'"),
+        ("p edge 2 1\ne 1 x\n", 2, "malformed edge line: 'e 1 x'"),
+        ("p edge 2 1\ne 1 3\n", 2, "edge endpoint out of range 1..2"),
+        ("p edge 2 1\ne 0 1\n", 2, "edge endpoint out of range 1..2"),
+        ("p edge 2 1\ne 2 2\n", 2, "self-loop at vertex 2"),
+        ("n 1 2\np edge 2 0\n", 1, "weight line before problem line"),
+        ("p edge 2 0\nn 1\n", 2, "malformed weight line: 'n 1'"),
+        ("p edge 2 0\nn 1 w\n", 2, "malformed weight line: 'n 1 w'"),
+        ("p edge 2 0\nn 3 1\n", 2, "weight vertex out of range 1..2"),
+        ("p edge 2 0\nn 0 1\n", 2, "weight vertex out of range 1..2"),
+        ("p edge 2 0\nn 1 0\n", 2, "weight of vertex 1 must be positive"),
+        ("p edge 2 0\nn 2 -4\n", 2, "weight of vertex 2 must be positive"),
+        ("p edge 2 0\nn 1 3\nn 1 3\n", 3, "duplicate weight line for vertex 1"),
+        # weight lines after the first edge line reach the line grammar
+        ("p edge 2 1\ne 1 2\nn 2 5\nn 2 5", 4, "duplicate weight line for vertex 2"),
+        ("p edge 2 0\nq 1 2\n", 2, "unrecognized line: 'q 1 2'"),
+        ("c only a comment\n", 2, "missing problem line"),
+        ("", 1, "missing problem line"),
+    ])
+    def test_error_text_and_line(self, text, k, message):
+        with pytest.raises(DimacsError) as caught:
+            parse_dimacs(text)
+        assert str(caught.value) == f"line {k}: {message}"
+        assert caught.value.line == k
+
 
 @pytest.fixture(params=[
     ("dense", None), ("dense", 1 << 20), ("sparse", None), ("sparse", 1 << 20),

@@ -834,6 +834,17 @@ class TestVerifyTree:
         g = coprime_graph(1200)
         assert verify_tree(g, decompose(g)) == []
 
+    def test_children_out_of_canonical_order_reported(self):
+        # the Series root of coprime_graph(30) with its children reversed:
+        # the same spans and kinds, but a different serialized tree
+        g = coprime_graph(30)
+        t = decompose(g)
+        assert t.root.kind is NodeKind.SERIES and len(t.root.children) == 6
+        reversed_root = MDTree(
+            root=MDNode(NodeKind.SERIES, children=t.root.children[::-1]), graph=g)
+        assert reversed_root.serialize() != t.serialize()
+        assert verify_tree(g, reversed_root) == ["root: children not in canonical order"]
+
     def test_tree_of_a_larger_graph_reported(self):
         # the tree's spans hold ids that have no row in the graph
         g = coprime_graph(8)
